@@ -1,5 +1,6 @@
 #include "exec/column.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace mpq {
@@ -68,6 +69,45 @@ void ColumnData::EnsureNulls() {
 
 void ColumnData::GrowNulls(size_t n) {
   if (!nulls_.empty()) nulls_.insert(nulls_.end(), n, 0);
+}
+
+void ColumnData::ResetForAdopt(ColumnRep rep, size_t size,
+                               std::vector<uint8_t> nulls) {
+  assert(nulls.empty() || nulls.size() == size);
+  Clear();
+  rep_ = rep;
+  size_ = size;
+  if (std::any_of(nulls.begin(), nulls.end(),
+                  [](uint8_t b) { return b != 0; })) {
+    nulls_ = std::move(nulls);
+  }
+}
+
+void ColumnData::Adopt(std::vector<int64_t> vals, std::vector<uint8_t> nulls) {
+  ResetForAdopt(ColumnRep::kInt64, vals.size(), std::move(nulls));
+  i64_ = std::move(vals);
+}
+
+void ColumnData::Adopt(std::vector<double> vals, std::vector<uint8_t> nulls) {
+  ResetForAdopt(ColumnRep::kDouble, vals.size(), std::move(nulls));
+  f64_ = std::move(vals);
+}
+
+void ColumnData::Adopt(std::vector<std::string> vals,
+                       std::vector<uint8_t> nulls) {
+  ResetForAdopt(ColumnRep::kString, vals.size(), std::move(nulls));
+  str_ = std::move(vals);
+}
+
+void ColumnData::Adopt(std::vector<EncValue> vals,
+                       std::vector<uint8_t> nulls) {
+  ResetForAdopt(ColumnRep::kEnc, vals.size(), std::move(nulls));
+  enc_ = std::move(vals);
+}
+
+void ColumnData::Adopt(std::vector<Cell> cells) {
+  ResetForAdopt(ColumnRep::kCell, cells.size(), {});
+  cells_ = std::move(cells);
 }
 
 void ColumnData::DemoteToCells() {
@@ -429,7 +469,7 @@ ColumnData ColumnFromCells(std::vector<Cell> cells) {
 
 ColumnData ColumnFromEnc(std::vector<EncValue> encs) {
   ColumnData out;
-  out.AdoptEnc(std::move(encs));
+  out.Adopt(std::move(encs));
   return out;
 }
 

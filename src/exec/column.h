@@ -108,13 +108,17 @@ class ColumnData {
   /// there).
   void DemoteToCells();
 
-  /// Replaces this column's content with a contiguous ciphertext vector.
-  void AdoptEnc(std::vector<EncValue> encs) {
-    Clear();
-    rep_ = ColumnRep::kEnc;
-    enc_ = std::move(encs);
-    size_ = enc_.size();
-  }
+  /// Replaces this column's content with one typed vector and its null
+  /// mask (empty, or one entry per row, 1 = NULL), switching the rep to
+  /// match. Masked slots must hold the defaults AppendNull writes. A mask
+  /// that marks no row is dropped, so the result equals appending the same
+  /// rows one at a time.
+  void Adopt(std::vector<int64_t> vals, std::vector<uint8_t> nulls = {});
+  void Adopt(std::vector<double> vals, std::vector<uint8_t> nulls = {});
+  void Adopt(std::vector<std::string> vals, std::vector<uint8_t> nulls = {});
+  void Adopt(std::vector<EncValue> vals, std::vector<uint8_t> nulls = {});
+  /// The kCell fallback: NULLs are null cells, never a mask.
+  void Adopt(std::vector<Cell> cells);
 
   /// Payload bytes, matching the historical per-Cell accounting: null 1,
   /// int64/double 8, string len+4, ciphertext blob+8.
@@ -125,6 +129,9 @@ class ColumnData {
   void EnsureNulls();
   /// Appends `n` not-null entries to the mask if it exists.
   void GrowNulls(size_t n);
+  /// Clears the column, then installs `rep` over `size` rows with `nulls`
+  /// (dropped when it marks no row); the caller moves the typed vector in.
+  void ResetForAdopt(ColumnRep rep, size_t size, std::vector<uint8_t> nulls);
 
   ColumnRep rep_ = ColumnRep::kCell;
   size_t size_ = 0;

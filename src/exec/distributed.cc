@@ -263,7 +263,8 @@ Result<DistributedResult> DistributedRuntime::Run(const ExtendedPlan& ext,
         xfer.AnnStr("from", subjects_->Name(s));
         xfer.AnnStr("to", subjects_->Name(dst));
       }
-      uint64_t bytes = t.ByteSize();
+      // Charged the payload size, or over SimNet the encoded frame size.
+      uint64_t bytes = net_ != nullptr ? 0 : t.ByteSize();
       if (net_ != nullptr) {
         // The fragment crosses the simulated wire as a compressed column
         // segment (or the plain column-at-a-time serialization when wire
@@ -272,7 +273,20 @@ Result<DistributedResult> DistributedRuntime::Run(const ExtendedPlan& ext,
         // so the encode/decode round-trip is exercised on every
         // assignee-crossing edge. (SimNet drops or delays whole messages,
         // never flips bytes; decode of corrupt frames is covered by the
-        // serde unit tests.)
+        // serde unit tests.) A traced run annotates the edge with the
+        // encode and decode time; the clock is read only then.
+        using Clock = std::chrono::steady_clock;
+        Clock::time_point t0;
+        auto start_clock = [&] {
+          if (trace != nullptr) t0 = Clock::now();
+        };
+        auto annotate_us = [&](const char* key) {
+          if (trace == nullptr) return;
+          auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+              Clock::now() - t0);
+          xfer.AnnInt(key, static_cast<int64_t>(us.count()));
+        };
+        start_clock();
         std::string wire;
         if (compress_wire_) {
           Result<std::string> enc = EncodeSegment(t);
@@ -285,6 +299,7 @@ Result<DistributedResult> DistributedRuntime::Run(const ExtendedPlan& ext,
         } else {
           wire = t.SerializeColumns();
         }
+        annotate_us("encode_us");
         bytes = wire.size();
         Result<DeliveryReport> d =
             net_->Deliver(s, dst, bytes, n->id, net_policy_);
@@ -294,12 +309,14 @@ Result<DistributedResult> DistributedRuntime::Run(const ExtendedPlan& ext,
           record_error(n->id, d.status());
           return;
         }
+        start_clock();
         Result<Table> decoded = [&]() -> Result<Table> {
           if (!compress_wire_) return Table::DeserializeColumns(wire);
           Result<SegmentReader> seg = SegmentReader::Open(std::move(wire));
           if (!seg.ok()) return seg.status();
           return seg->Decode();
         }();
+        annotate_us("decode_us");
         if (!decoded.ok()) {
           record_error(n->id, decoded.status());
           return;

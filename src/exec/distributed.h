@@ -104,9 +104,10 @@ class DistributedRuntime {
   /// Attaches a pool: independent fragments then run as concurrent async
   /// tasks, and each engine evaluates operators batch-parallel. Null (the
   /// default) runs everything sequentially. The pool is borrowed, not
-  /// owned. Unless SetMorselScheduler injects a shared one, the runtime
-  /// lazily creates a private MorselScheduler over the pool so operator
-  /// loops run morsel-driven here too.
+  /// owned. Unless SetMorselScheduler has injected a shared one, the
+  /// runtime creates a private MorselScheduler over the pool so operator
+  /// loops run morsel-driven here too; inject the shared one first so no
+  /// private scheduler is built at all.
   void SetThreadPool(ThreadPool* pool) {
     pool_ = pool;
     if (pool != nullptr && morsels_ == nullptr) {
@@ -116,10 +117,13 @@ class DistributedRuntime {
   }
 
   /// Injects the process-wide morsel scheduler (borrowed): operator loops
-  /// then enqueue on it instead of the runtime's private one, so every
-  /// concurrent query of a serving process draws from one task queue.
+  /// then enqueue on it instead of a private one (released if SetThreadPool
+  /// already built it), so every concurrent query of a serving process
+  /// draws from one task queue.
   void SetMorselScheduler(MorselScheduler* morsels) {
-    if (morsels != nullptr) morsels_ = morsels;
+    if (morsels == nullptr) return;
+    morsels_ = morsels;
+    owned_morsels_.reset();
   }
 
   /// Attaches the process-wide shared-scan manager (borrowed): concurrent

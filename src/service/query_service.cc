@@ -678,8 +678,8 @@ QueryService::BuildPreparedPlan(const std::string& normalized_sql,
   entry->runtime->DistributeKeys(entry->keys, subject, seed);
   entry->runtime->SetCryptoPlan(
       MakeCryptoPlan(entry->assignment.refined_schemes, entry->keys));
-  entry->runtime->SetThreadPool(pool_.get());
   entry->runtime->SetMorselScheduler(morsels_.get());
+  entry->runtime->SetThreadPool(pool_.get());
   entry->runtime->SetSharedScans(&shared_scans_);
   entry->runtime->SetBatchSize(config_.batch_size);
   entry->runtime->SetNetwork(config_.net);

@@ -11,7 +11,9 @@ namespace mpq {
 namespace {
 
 constexpr char kMagic[4] = {'M', 'P', 'Q', 'S'};
-constexpr uint8_t kVersion = 1;
+/// Version 2 checksums the frame with FrameChecksum; version 1 used
+/// byte-wise FNV-1a. Every other byte is laid out identically.
+constexpr uint8_t kVersion = 2;
 /// Header: magic + version + u64 rows + u32 cols.
 constexpr size_t kHeaderSize = 4 + 1 + 8 + 4;
 /// Trailer: u64 footer offset + u64 checksum.
@@ -48,11 +50,82 @@ void PutBytes(std::string* out, const std::string& s) {
   out->append(s);
 }
 
+/// Grows `out` by `n` bytes and returns where they start, so a page sized
+/// up front is written through a pointer instead of appended value by
+/// value.
+char* Extend(std::string* out, size_t n) {
+  size_t at = out->size();
+  out->resize(at + n);
+  return &(*out)[at];
+}
+
+char* WriteRaw(char* p, const void* src, size_t n) {
+  std::memcpy(p, src, n);
+  return p + n;
+}
+
+/// u32 length + bytes: 4 + s.size() bytes.
+char* WriteBytes(char* p, const std::string& s) {
+  uint32_t n = static_cast<uint32_t>(s.size());
+  p = WriteRaw(p, &n, sizeof(n));
+  return WriteRaw(p, s.data(), s.size());
+}
+
+/// Ciphertext record: u8 scheme, u64 key id, u64 aux, then the blob as
+/// WriteBytes lays it out — kEncFixed + blob.size() bytes.
+constexpr size_t kEncFixed = 1 + 8 + 8 + 4;
+
+char* WriteEnc(char* p, const EncValue& ev) {
+  *p++ = static_cast<char>(ev.scheme);
+  p = WriteRaw(p, &ev.key_id, sizeof(ev.key_id));
+  uint64_t aux = static_cast<uint64_t>(ev.aux);
+  p = WriteRaw(p, &aux, sizeof(aux));
+  return WriteBytes(p, ev.blob);
+}
+
 void PutEnc(std::string* out, const EncValue& ev) {
-  PutU8(out, static_cast<uint8_t>(ev.scheme));
-  PutU64(out, ev.key_id);
-  PutU64(out, static_cast<uint64_t>(ev.aux));
-  PutBytes(out, ev.blob);
+  WriteEnc(Extend(out, kEncFixed + ev.blob.size()), ev);
+}
+
+uint64_t Rotl(uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
+
+/// Frame checksum over 64-bit words in four interleaved lanes (word i feeds
+/// lane i % 4, so the multiplies of neighbouring words overlap). A lane
+/// step `rotl(lane + w * kP2, 31) * kP1` is a bijection in the lane for a
+/// fixed word and in the word for a fixed lane, and the final fold is a
+/// bijection in each lane for fixed others — so a change confined to one
+/// word always changes the checksum. A trailing partial word is
+/// zero-padded; the byte length is folded in last.
+uint64_t FrameChecksum(const char* data, size_t n) {
+  constexpr uint64_t kP1 = 0x9e3779b185ebca87ull;
+  constexpr uint64_t kP2 = 0xc2b2ae3d27d4eb4full;
+  auto step = [](uint64_t lane, uint64_t w) {
+    return Rotl(lane + w * kP2, 31) * kP1;
+  };
+  uint64_t lane[4] = {kP1 + kP2, kP2, 0, 0 - kP1};
+  const size_t words = n / 8;
+  size_t i = 0;
+  for (; i + 4 <= words; i += 4) {
+    uint64_t w[4];
+    std::memcpy(w, data + 8 * i, sizeof(w));
+    lane[0] = step(lane[0], w[0]);
+    lane[1] = step(lane[1], w[1]);
+    lane[2] = step(lane[2], w[2]);
+    lane[3] = step(lane[3], w[3]);
+  }
+  for (; i < words; ++i) {
+    uint64_t w;
+    std::memcpy(&w, data + 8 * i, sizeof(w));
+    lane[i % 4] = step(lane[i % 4], w);
+  }
+  if (n % 8 != 0) {
+    uint64_t w = 0;
+    std::memcpy(&w, data + 8 * words, n % 8);
+    lane[words % 4] = step(lane[words % 4], w);
+  }
+  uint64_t h = Rotl(lane[0], 1) + Rotl(lane[1], 7) + Rotl(lane[2], 12) +
+               Rotl(lane[3], 18);
+  return HashMix64(h ^ n);
 }
 
 /// Bounds-checked reader over a byte range of the frame.
@@ -63,7 +136,7 @@ struct Reader {
 
   bool Take(void* dst, size_t n) {
     if (n > size - pos) return false;  // pos <= size always holds
-    std::memcpy(dst, data + pos, n);
+    if (n != 0) std::memcpy(dst, data + pos, n);  // dst may be null at 0
     pos += n;
     return true;
   }
@@ -95,43 +168,59 @@ Status Corrupt() {
 }
 
 /// LSB-first bit packing: value i occupies stream bits
-/// [i*width, (i+1)*width); stream bit b lives in byte b/8, bit b%8.
-void PackBits(const uint64_t* vals, size_t n, uint8_t width,
-              std::string* out) {
+/// [i*width, (i+1)*width); stream bit b lives in byte b/8, bit b%8. Values
+/// are shifted into a 64-bit accumulator that is flushed a word at a time
+/// (the frame is little-endian, like every other field).
+template <typename T>
+void PackBits(const T* vals, size_t n, uint8_t width, std::string* out) {
   if (width == 0) return;
-  size_t nbytes = (n * width + 7) / 8;
-  size_t start = out->size();
-  out->append(nbytes, '\0');
-  auto* bytes = reinterpret_cast<uint8_t*>(&(*out)[start]);
-  size_t bit = 0;
+  const uint64_t mask = width == 64 ? ~0ull : (1ull << width) - 1;
+  char* p = Extend(out, (n * width + 7) / 8);
+  uint64_t acc = 0;
+  unsigned filled = 0;  // bits of acc in use, always < 64
   for (size_t i = 0; i < n; ++i) {
-    uint64_t v = width == 64 ? vals[i] : (vals[i] & ((1ull << width) - 1));
-    size_t b = bit;
-    while (v != 0 || b < bit + width) {
-      if (b >= bit + width) break;
-      bytes[b / 8] |= static_cast<uint8_t>((v & 1u) << (b % 8));
-      v >>= 1;
-      ++b;
+    uint64_t v = static_cast<uint64_t>(vals[i]) & mask;
+    acc |= v << filled;
+    filled += width;
+    if (filled >= 64) {
+      p = WriteRaw(p, &acc, sizeof(acc));
+      filled -= 64;
+      // The bits of v that did not fit (none when v ended on the word).
+      acc = filled == 0 ? 0 : v >> (width - filled);
     }
-    bit += width;
   }
+  WriteRaw(p, &acc, (filled + 7) / 8);
 }
 
 /// Inverse of PackBits over `n` values; the caller has bounds-checked that
-/// `nbytes` bytes are available.
+/// the (n * width + 7) / 8 packed bytes are available, and no byte past
+/// them is read.
 void UnpackBits(const uint8_t* bytes, size_t n, uint8_t width,
                 uint64_t* out) {
   if (width == 0) {
     std::fill(out, out + n, 0);
     return;
   }
-  size_t bit = 0;
+  const uint64_t mask = width == 64 ? ~0ull : (1ull << width) - 1;
+  const size_t nbytes = (n * width + 7) / 8;
+  size_t pos = 0;
+  uint64_t acc = 0;
+  unsigned avail = 0;  // unread bits at the bottom of acc, always < 64
   for (size_t i = 0; i < n; ++i) {
-    uint64_t v = 0;
-    for (uint8_t k = 0; k < width; ++k, ++bit) {
-      v |= static_cast<uint64_t>((bytes[bit / 8] >> (bit % 8)) & 1u) << k;
+    if (avail >= width) {
+      out[i] = acc & mask;
+      acc >>= width;  // width < 64 here: avail < 64
+      avail -= width;
+      continue;
     }
-    out[i] = v;
+    uint64_t w = 0;
+    size_t len = std::min<size_t>(8, nbytes - pos);
+    std::memcpy(&w, bytes + pos, len);
+    pos += len;
+    out[i] = (acc | (w << avail)) & mask;
+    unsigned used = width - avail;  // bits of w taken by this value
+    acc = used == 64 ? 0 : w >> used;
+    avail = 64 - used;
   }
 }
 
@@ -229,12 +318,13 @@ Status DecodeInt64Page(Reader* r, uint64_t num_rows,
       if (!r->U64(&base) || !r->U8(&bw) || bw > 64) return Corrupt();
       size_t nbytes = (num_rows * bw + 7) / 8;
       if (nbytes > r->size - r->pos) return Corrupt();
-      std::vector<uint64_t> deltas(num_rows);
+      // Deltas unpack in place (int64_t and uint64_t may alias).
+      auto* deltas = reinterpret_cast<uint64_t*>(out->data());
       UnpackBits(reinterpret_cast<const uint8_t*>(r->data + r->pos),
-                 num_rows, bw, deltas.data());
+                 num_rows, bw, deltas);
       r->pos += nbytes;
       for (uint64_t i = 0; i < num_rows; ++i) {
-        (*out)[i] = static_cast<int64_t>(base + deltas[i]);
+        deltas[i] += base;
       }
       return Status::OK();
     }
@@ -268,11 +358,11 @@ Status EncodeStringPage(const ColumnData& d, std::string* out) {
       PutBytes(out, d.str()[dict.RepRow(k)]);
     }
     PutU8(out, code_bits);
-    std::vector<uint64_t> wide(codes.begin(), codes.end());
-    PackBits(wide.data(), n, code_bits, out);
+    PackBits(codes.data(), n, code_bits, out);
   } else {
     PutU8(out, kStringPlain);
-    for (const std::string& s : d.str()) PutBytes(out, s);
+    char* p = Extend(out, plain_cost);
+    for (const std::string& s : d.str()) p = WriteBytes(p, s);
   }
   return Status::OK();
 }
@@ -359,6 +449,124 @@ SegmentZone ComputeZone(const ExecColumn& col, const ColumnData& d) {
   }
 }
 
+/// Reads a (rows + 7) / 8-byte LSB-first null mask into one byte per row
+/// (1 = NULL).
+bool DecodeNullMask(Reader* r, uint64_t num_rows,
+                    std::vector<uint8_t>* nulls) {
+  size_t nbytes = (num_rows + 7) / 8;
+  if (nbytes > r->size - r->pos) return false;
+  const auto* mb = reinterpret_cast<const uint8_t*>(r->data + r->pos);
+  nulls->resize(num_rows);
+  for (uint64_t i = 0; i < num_rows; ++i) {
+    (*nulls)[i] = (mb[i / 8] >> (i % 8)) & 1u;
+  }
+  r->pos += nbytes;
+  return true;
+}
+
+/// Resets NULL rows to the default value AppendNull writes (the page holds
+/// whatever the encoder's column had in those slots).
+template <typename T>
+void ClearMasked(const std::vector<uint8_t>& nulls, std::vector<T>* vals) {
+  for (size_t i = 0; i < nulls.size(); ++i) {
+    if (nulls[i] != 0) (*vals)[i] = T();
+  }
+}
+
+/// Decodes one column page into `out` a column at a time: each typed rep
+/// is built as one vector and adopted together with its null mask.
+Status DecodeColumnPage(Reader* r, ColumnRep rep, uint64_t num_rows,
+                        std::vector<uint8_t> nulls, ColumnData* out) {
+  switch (rep) {
+    case ColumnRep::kInt64: {
+      std::vector<int64_t> vals;
+      MPQ_RETURN_NOT_OK(DecodeInt64Page(r, num_rows, &vals));
+      ClearMasked(nulls, &vals);
+      out->Adopt(std::move(vals), std::move(nulls));
+      return Status::OK();
+    }
+    case ColumnRep::kDouble: {
+      if (num_rows > (r->size - r->pos) / 8) return Corrupt();
+      std::vector<double> vals(num_rows);
+      r->Take(vals.data(), 8 * num_rows);
+      ClearMasked(nulls, &vals);
+      out->Adopt(std::move(vals), std::move(nulls));
+      return Status::OK();
+    }
+    case ColumnRep::kString: {
+      uint8_t encoding;
+      if (!r->U8(&encoding)) return Corrupt();
+      std::vector<std::string> vals;
+      if (encoding == kStringDict) {
+        uint32_t num_values;
+        if (!r->U32(&num_values) || num_values > r->size) return Corrupt();
+        std::vector<std::string> values(num_values);
+        for (uint32_t k = 0; k < num_values; ++k) {
+          if (!r->Bytes(&values[k])) return Corrupt();
+        }
+        uint8_t code_bits;
+        if (!r->U8(&code_bits) || code_bits > 32) return Corrupt();
+        size_t nbytes = (num_rows * code_bits + 7) / 8;
+        if (nbytes > r->size - r->pos) return Corrupt();
+        std::vector<uint64_t> codes(num_rows);
+        UnpackBits(reinterpret_cast<const uint8_t*>(r->data + r->pos),
+                   num_rows, code_bits, codes.data());
+        r->pos += nbytes;
+        vals.resize(num_rows);
+        for (uint64_t i = 0; i < num_rows; ++i) {
+          if (!nulls.empty() && nulls[i] != 0) continue;  // code is padding
+          if (codes[i] >= num_values) return Corrupt();
+          vals[i] = values[codes[i]];
+        }
+      } else if (encoding == kStringPlain) {
+        if (num_rows > (r->size - r->pos) / 4) return Corrupt();
+        vals.resize(num_rows);
+        for (uint64_t i = 0; i < num_rows; ++i) {
+          if (!r->Bytes(&vals[i])) return Corrupt();
+        }
+        ClearMasked(nulls, &vals);
+      } else {
+        return Corrupt();
+      }
+      out->Adopt(std::move(vals), std::move(nulls));
+      return Status::OK();
+    }
+    case ColumnRep::kEnc: {
+      if (num_rows > (r->size - r->pos) / kEncFixed) return Corrupt();
+      std::vector<EncValue> vals(num_rows);
+      for (uint64_t i = 0; i < num_rows; ++i) {
+        if (!r->Enc(&vals[i])) return Corrupt();
+      }
+      ClearMasked(nulls, &vals);
+      out->Adopt(std::move(vals), std::move(nulls));
+      return Status::OK();
+    }
+    case ColumnRep::kCell: {
+      // The fallback rep holds NULLs as null cells; a mask on it (which the
+      // encoder never writes) is ignored.
+      std::vector<Cell> cells;
+      cells.reserve(std::min<uint64_t>(num_rows, r->size - r->pos));
+      for (uint64_t i = 0; i < num_rows; ++i) {
+        uint8_t is_enc;
+        if (!r->U8(&is_enc)) return Corrupt();
+        if (is_enc) {
+          EncValue ev;
+          if (!r->Enc(&ev)) return Corrupt();
+          cells.emplace_back(std::move(ev));
+        } else {
+          std::string s;
+          if (!r->Bytes(&s)) return Corrupt();
+          MPQ_ASSIGN_OR_RETURN(Value v, Value::Deserialize(s));
+          cells.emplace_back(std::move(v));
+        }
+      }
+      out->Adopt(std::move(cells));
+      return Status::OK();
+    }
+  }
+  return Corrupt();
+}
+
 }  // namespace
 
 Result<std::string> EncodeSegment(const Table& t) {
@@ -393,9 +601,13 @@ Result<std::string> EncodeSegment(const Table& t) {
       case ColumnRep::kString:
         MPQ_RETURN_NOT_OK(EncodeStringPage(d, &out));
         break;
-      case ColumnRep::kEnc:
-        for (const EncValue& ev : d.enc()) PutEnc(&out, ev);
+      case ColumnRep::kEnc: {
+        size_t page = kEncFixed * d.size();
+        for (const EncValue& ev : d.enc()) page += ev.blob.size();
+        char* p = Extend(&out, page);
+        for (const EncValue& ev : d.enc()) p = WriteEnc(p, ev);
         break;
+      }
       case ColumnRep::kCell:
         for (const Cell& cell : d.cells()) {
           PutU8(&out, cell.is_encrypted() ? 1 : 0);
@@ -435,7 +647,7 @@ Result<std::string> EncodeSegment(const Table& t) {
     }
   }
   PutU64(&out, footer_offset);
-  PutU64(&out, HashBytes(out.data(), out.size()));
+  PutU64(&out, FrameChecksum(out.data(), out.size()));
   return out;
 }
 
@@ -470,19 +682,24 @@ Result<SegmentReader> SegmentReader::Open(std::string bytes) {
   const std::string& b = sr.bytes_;
   if (b.size() < kHeaderSize + kTrailerSize) return Corrupt();
 
-  uint64_t stored_sum;
-  std::memcpy(&stored_sum, b.data() + b.size() - 8, 8);
-  if (HashBytes(b.data(), b.size() - 8) != stored_sum) return Corrupt();
-
   Reader r{b.data(), b.size() - kTrailerSize};
   char magic[4];
   uint8_t version;
-  uint32_t num_cols;
   if (!r.Take(magic, sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0 || !r.U8(&version) ||
-      version != kVersion || !r.U64(&sr.num_rows_) || !r.U32(&num_cols)) {
+      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0 || !r.U8(&version)) {
     return Corrupt();
   }
+  if (version != kVersion) {
+    return Status::InvalidArgument("unsupported segment version " +
+                                   std::to_string(version));
+  }
+
+  uint64_t stored_sum;
+  std::memcpy(&stored_sum, b.data() + b.size() - 8, 8);
+  if (FrameChecksum(b.data(), b.size() - 8) != stored_sum) return Corrupt();
+
+  uint32_t num_cols;
+  if (!r.U64(&sr.num_rows_) || !r.U32(&num_cols)) return Corrupt();
   if (sr.num_rows_ > kMaxSegmentRows) return Corrupt();
 
   uint64_t footer_offset;
@@ -540,124 +757,20 @@ Result<SegmentReader> SegmentReader::Open(std::string bytes) {
 
 Result<Table> SegmentReader::Decode() const {
   Table t;
-  uint64_t num_rows = num_rows_;
   for (size_t c = 0; c < entries_.size(); ++c) {
     const ColumnEntry& e = entries_[c];
     Reader r{bytes_.data() + e.page_offset, static_cast<size_t>(e.page_len)};
     std::vector<uint8_t> nulls;
-    if (e.has_nulls) {
-      size_t nbytes = (num_rows + 7) / 8;
-      if (nbytes > r.size - r.pos) return Corrupt();
-      nulls.resize(num_rows);
-      const auto* mb = reinterpret_cast<const uint8_t*>(r.data + r.pos);
-      for (uint64_t i = 0; i < num_rows; ++i) {
-        nulls[i] = (mb[i / 8] >> (i % 8)) & 1u;
-      }
-      r.pos += nbytes;
+    if (e.has_nulls && !DecodeNullMask(&r, num_rows_, &nulls)) {
+      return Corrupt();
     }
-    auto row_null = [&](uint64_t i) { return e.has_nulls && nulls[i] != 0; };
-    ColumnData d(static_cast<ColumnRep>(e.rep));
-    d.Reserve(num_rows);
-    switch (static_cast<ColumnRep>(e.rep)) {
-      case ColumnRep::kInt64: {
-        std::vector<int64_t> vals;
-        MPQ_RETURN_NOT_OK(DecodeInt64Page(&r, num_rows, &vals));
-        for (uint64_t i = 0; i < num_rows; ++i) {
-          if (row_null(i)) {
-            d.AppendNull();
-          } else {
-            d.AppendValue(Value(vals[i]));
-          }
-        }
-        break;
-      }
-      case ColumnRep::kDouble:
-        for (uint64_t i = 0; i < num_rows; ++i) {
-          double v;
-          if (!r.Take(&v, sizeof(v))) return Corrupt();
-          if (row_null(i)) {
-            d.AppendNull();
-          } else {
-            d.AppendValue(Value(v));
-          }
-        }
-        break;
-      case ColumnRep::kString: {
-        uint8_t encoding;
-        if (!r.U8(&encoding)) return Corrupt();
-        if (encoding == kStringDict) {
-          uint32_t num_values;
-          if (!r.U32(&num_values) || num_values > e.page_len) return Corrupt();
-          std::vector<std::string> values(num_values);
-          for (uint32_t k = 0; k < num_values; ++k) {
-            if (!r.Bytes(&values[k])) return Corrupt();
-          }
-          uint8_t code_bits;
-          if (!r.U8(&code_bits) || code_bits > 32) return Corrupt();
-          size_t nbytes = (num_rows * code_bits + 7) / 8;
-          if (nbytes > r.size - r.pos) return Corrupt();
-          std::vector<uint64_t> codes(num_rows);
-          UnpackBits(reinterpret_cast<const uint8_t*>(r.data + r.pos),
-                     num_rows, code_bits, codes.data());
-          r.pos += nbytes;
-          for (uint64_t i = 0; i < num_rows; ++i) {
-            if (row_null(i)) {
-              d.AppendNull();  // a null row's code is padding
-            } else if (codes[i] >= num_values) {
-              return Corrupt();
-            } else {
-              d.AppendValue(Value(values[codes[i]]));
-            }
-          }
-        } else if (encoding == kStringPlain) {
-          for (uint64_t i = 0; i < num_rows; ++i) {
-            std::string s;
-            if (!r.Bytes(&s)) return Corrupt();
-            if (row_null(i)) {
-              d.AppendNull();
-            } else {
-              d.AppendValue(Value(std::move(s)));
-            }
-          }
-        } else {
-          return Corrupt();
-        }
-        break;
-      }
-      case ColumnRep::kEnc:
-        for (uint64_t i = 0; i < num_rows; ++i) {
-          EncValue ev;
-          if (!r.Enc(&ev)) return Corrupt();
-          if (row_null(i)) {
-            d.AppendNull();
-          } else {
-            d.Append(Cell(std::move(ev)));
-          }
-        }
-        break;
-      case ColumnRep::kCell:
-        for (uint64_t i = 0; i < num_rows; ++i) {
-          uint8_t is_enc;
-          if (!r.U8(&is_enc)) return Corrupt();
-          if (is_enc) {
-            EncValue ev;
-            if (!r.Enc(&ev)) return Corrupt();
-            d.Append(Cell(std::move(ev)));
-          } else {
-            std::string s;
-            if (!r.Bytes(&s)) return Corrupt();
-            MPQ_ASSIGN_OR_RETURN(Value v, Value::Deserialize(s));
-            d.Append(Cell(std::move(v)));
-          }
-        }
-        break;
-      default:
-        return Corrupt();
-    }
-    if (r.pos != r.size || d.size() != num_rows) return Corrupt();
+    ColumnData d;
+    MPQ_RETURN_NOT_OK(DecodeColumnPage(&r, static_cast<ColumnRep>(e.rep),
+                                       num_rows_, std::move(nulls), &d));
+    if (r.pos != r.size || d.size() != num_rows_) return Corrupt();
     t.AddColumn(columns_[c], std::move(d));
   }
-  if (entries_.empty()) t.num_rows_ = num_rows;
+  if (entries_.empty()) t.num_rows_ = num_rows_;
   return t;
 }
 

@@ -7,7 +7,10 @@
 // min/max zone map over the non-null plaintext values. The footer is
 // readable without touching any page, so scans consult zone maps first and
 // skip whole segments that provably contain no qualifying row; a trailing
-// checksum rejects torn or bit-flipped segments before any decode.
+// checksum over 64-bit words rejects torn or bit-flipped segments before
+// any decode (it always detects a change confined to one word, so every
+// single-bit flip). Encoding and decoding work a column at a time: each
+// decoded column is one typed vector plus its null mask.
 //
 // Segments serve three roles: the spill format of the byte-budgeted
 // out-of-core join/group-by paths, the compressed wire encoding of

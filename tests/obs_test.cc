@@ -714,6 +714,32 @@ TEST_F(ObsTpchTest, TracedQueryCoversTheWholePipelineWithEdgeBytes) {
   }
 }
 
+TEST_F(ObsTpchTest, SimNetEdgesCarryWireCodecTime) {
+  // Over SimNet every assignee-crossing edge is encoded as a segment and
+  // decoded by its receiver; the xfer span says how long each side took.
+  SimNet net(&env_.subjects);
+  ServiceConfig config;
+  config.trace.enabled = true;
+  config.net = &net;
+  auto service = MakeService(config);
+  auto session = service->OpenSession(env_.user);
+  ASSERT_TRUE(session.ok());
+  auto r = service->ExecuteSql(kTpchQ3, *session);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_NE(r->trace, nullptr);
+  size_t net_spans = 0;
+  for (const SpanRecord& s : r->trace->Spans()) {
+    if (s.cat != "net") continue;
+    ++net_spans;
+    for (const char* key : {"encode_us", "decode_us"}) {
+      const SpanArg* us = FindArg(s, key);
+      ASSERT_NE(us, nullptr) << "xfer span lacks " << key;
+      EXPECT_GE(us->i, 0) << key;
+    }
+  }
+  EXPECT_GT(net_spans, 0u) << "no assignee-crossing edge was traced";
+}
+
 TEST_F(ObsTpchTest, TracedRunsAreBitIdenticalToUntracedAtEveryThreadCount) {
   std::string reference_wire;
   for (size_t threads : {size_t{0}, size_t{2}, size_t{8}}) {
