@@ -20,8 +20,8 @@
 
 #include "algebra/plan_builder.h"
 #include "bench_json.h"
-#include "common/thread_pool.h"
 #include "exec/executor.h"
+#include "exec/morsel.h"
 #include "testing/reference_exec.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -100,6 +100,7 @@ int main(int argc, char** argv) {
   for (const auto& [rel, t] : db.tables) row_engine.LoadTable(rel, &t);
 
   ThreadPool pool8(8);
+  MorselScheduler sched8(&pool8);
 
   JsonWriter w;
   w.BeginObject();
@@ -160,7 +161,7 @@ int main(int argc, char** argv) {
       ExecContext c;
       c.catalog = &env.catalog;
       for (const auto& [rel, t] : db.tables) c.base_tables[rel] = &t;
-      c.pool = &pool8;
+      c.morsels = &sched8;
       auto t0 = Clock::now();
       Result<Table> t = ExecutePlan(wl.plan.get(), &c);
       auto t1 = Clock::now();

@@ -34,9 +34,9 @@
 #include "algebra/plan_builder.h"
 #include "bench_json.h"
 #include "common/flat_hash.h"
-#include "common/thread_pool.h"
 #include "crypto/keyring.h"
 #include "exec/executor.h"
+#include "exec/morsel.h"
 #include "obs/trace.h"
 #include "testing/reference_exec.h"
 #include "tpch/dbgen.h"
@@ -255,20 +255,22 @@ int main(int argc, char** argv) {
 
   ThreadPool pool2(2);
   ThreadPool pool8(8);
+  MorselScheduler sched2(&pool2);
+  MorselScheduler sched8(&pool8);
   TraceSink trace_sink(16);
   double q3_plain_s = 0, q3_traceoff_s = 0;
   bool trace_overhead_ok = true;
 
   auto modulus_dir = std::make_shared<HomKeyDirectory>(
       HomKeyDirectory{{0, paillier_n}});
-  auto make_ctx = [&](ExecContext* ctx, ThreadPool* pool) {
+  auto make_ctx = [&](ExecContext* ctx, MorselScheduler* sched) {
     ctx->catalog = &env.catalog;
     for (const auto& [rel, t] : db.tables) ctx->base_tables[rel] = &t;
     ctx->keyring = &keyring;
     ctx->dispatcher_keyring = &keyring;
     ctx->crypto = &crypto;
     ctx->public_modulus = modulus_dir;
-    ctx->pool = pool;
+    ctx->morsels = sched;
   };
 
   // One-time base-table encryption for the homomorphic workloads, outside
@@ -322,8 +324,8 @@ int main(int argc, char** argv) {
   for (const Workload& wl : workloads) {
     const PlanNode* oracle_plan =
         wl.oracle_plan != nullptr ? wl.oracle_plan.get() : wl.plan.get();
-    auto setup_ctx = [&](ExecContext* ctx, ThreadPool* pool) {
-      make_ctx(ctx, pool);
+    auto setup_ctx = [&](ExecContext* ctx, MorselScheduler* sched) {
+      make_ctx(ctx, sched);
       if (wl.use_enc_lineitem) ctx->base_tables[env.lineitem] = &enc_lineitem;
     };
     Result<Table> row_result = row_engine.Run(oracle_plan);
@@ -350,9 +352,9 @@ int main(int argc, char** argv) {
       verified = CanonicalRows(*row_result) == CanonicalRows(*r1);
       wire1 = r1->SerializeColumns();
     }
-    for (ThreadPool* pool : {&pool2, &pool8}) {
+    for (MorselScheduler* sched : {&sched2, &sched8}) {
       ExecContext ctx;
-      setup_ctx(&ctx, pool);
+      setup_ctx(&ctx, sched);
       Result<Table> r = ExecutePlan(wl.plan.get(), &ctx);
       verified = verified && r.ok() && r->SerializeColumns() == wire1;
     }
@@ -360,19 +362,19 @@ int main(int argc, char** argv) {
     // the serialized result bytes must equal the untraced run's exactly.
     bool traced_identical = true;
     if (!trace_path.empty()) {
-      for (ThreadPool* pool :
-           {static_cast<ThreadPool*>(nullptr), &pool2, &pool8}) {
+      for (MorselScheduler* sched :
+           {static_cast<MorselScheduler*>(nullptr), &sched2, &sched8}) {
         auto qtrace = std::make_shared<QueryTrace>(
             MakeTraceId(/*session_id=*/1, HashBytes(wl.name),
-                        /*attempt=*/pool == &pool8 ? 8 : (pool ? 2 : 1)),
+                        /*attempt=*/sched == &sched8 ? 8 : (sched ? 2 : 1)),
             nullptr);
         ExecContext ctx;
-        setup_ctx(&ctx, pool);
+        setup_ctx(&ctx, sched);
         ctx.trace = qtrace.get();
         Result<Table> r = ExecutePlan(wl.plan.get(), &ctx);
         traced_identical =
             traced_identical && r.ok() && r->SerializeColumns() == wire1;
-        if (pool == &pool8) trace_sink.Add(qtrace);
+        if (sched == &sched8) trace_sink.Add(qtrace);
       }
       verified = verified && traced_identical;
       if (!traced_identical) {
@@ -394,10 +396,10 @@ int main(int argc, char** argv) {
       return std::chrono::duration<double>(t1 - t0).count();
     });
     size_t rows = 0;
-    auto time_engine = [&](ThreadPool* pool) {
+    auto time_engine = [&](MorselScheduler* sched) {
       return BestOf(reps, [&] {
         ExecContext ctx;
-        setup_ctx(&ctx, pool);
+        setup_ctx(&ctx, sched);
         auto t0 = Clock::now();
         Result<Table> t = ExecutePlan(wl.plan.get(), &ctx);
         auto t1 = Clock::now();
@@ -407,8 +409,8 @@ int main(int argc, char** argv) {
       });
     };
     double s1 = time_engine(nullptr);
-    double s2 = time_engine(&pool2);
-    double s8 = time_engine(&pool8);
+    double s2 = time_engine(&sched2);
+    double s8 = time_engine(&sched8);
 
     // Tracing-off overhead gate (Q3): with the tracer disabled, an Execute
     // pays one predictable branch per query. Each iteration times a plain

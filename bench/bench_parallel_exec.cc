@@ -1,5 +1,6 @@
 // Batch-parallel executor scaling on the TPC-H cost workload: wall-clock of
-// the single-threaded executor vs thread pools of 1/2/4/8 workers, on
+// the single-threaded executor vs a MorselScheduler over thread pools of
+// 1/2/4/8 workers, on
 // (a) plaintext scan-join-aggregate queries and (b) an encryption-heavy
 // extended plan (DET select + OPE range + Paillier aggregation), whose
 // per-row crypto is the paper's dominant runtime cost and parallelizes
@@ -13,8 +14,8 @@
 #include <vector>
 
 #include "algebra/plan_builder.h"
-#include "common/thread_pool.h"
 #include "exec/executor.h"
+#include "exec/morsel.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
 
@@ -125,9 +126,10 @@ int main(int argc, char** argv) {
     std::printf("%-10s %12.2f", w.name.c_str(), seq * 1e3);
     for (size_t n : kThreadCounts) {
       ThreadPool pool(n);
+      MorselScheduler sched(&pool);
       ExecContext ctx;
       make_ctx(&ctx);
-      ctx.pool = &pool;
+      ctx.morsels = &sched;
       double t = TimedRun(w.plan.get(), &ctx, reps, &rows);
       if (t < 0) break;
       std::printf("   %7.2f %4.2f", t * 1e3, seq / t);

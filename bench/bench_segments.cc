@@ -24,9 +24,9 @@
 
 #include "algebra/plan_builder.h"
 #include "bench_json.h"
-#include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "exec/failover.h"
+#include "exec/morsel.h"
 #include "net/simnet.h"
 #include "storage/segment.h"
 #include "testing/random_plan.h"
@@ -256,14 +256,15 @@ int main(int argc, char** argv) {
                         {b.Pa("l_orderkey", CmpOp::kEq, "o_orderkey")}),
                    env.catalog);
     ThreadPool pool8(8);
-    auto run = [&](uint64_t budget, ThreadPool* pool, ExecContext* out) {
+    MorselScheduler sched8(&pool8);
+    auto run = [&](uint64_t budget, MorselScheduler* sched, ExecContext* out) {
       ExecContext local;
       ExecContext* ctx = out != nullptr ? out : &local;
       ctx->catalog = &env.catalog;
       ctx->base_tables[env.lineitem] = &db.at(env.lineitem);
       ctx->base_tables[env.orders] = &db.at(env.orders);
       ctx->memory_budget = budget;
-      ctx->pool = pool;
+      ctx->morsels = sched;
       return ExecutePlan(fp->get(), ctx);
     };
     Result<Table> mem = fp.ok()
@@ -272,7 +273,7 @@ int main(int argc, char** argv) {
     ExecContext spill_ctx, spill8_ctx;
     Result<Table> sp1 =
         fp.ok() ? run(64 << 10, nullptr, &spill_ctx) : mem;
-    Result<Table> sp8 = fp.ok() ? run(64 << 10, &pool8, &spill8_ctx) : mem;
+    Result<Table> sp8 = fp.ok() ? run(64 << 10, &sched8, &spill8_ctx) : mem;
     bool verified = mem.ok() && sp1.ok() && sp8.ok() &&
                     sp1->SerializeColumns() == mem->SerializeColumns() &&
                     sp8->SerializeColumns() == mem->SerializeColumns();
@@ -296,7 +297,7 @@ int main(int argc, char** argv) {
     });
     double sp8_s = BestOf(reps, [&] {
       auto t0 = Clock::now();
-      Result<Table> t = run(64 << 10, &pool8, nullptr);
+      Result<Table> t = run(64 << 10, &sched8, nullptr);
       auto t1 = Clock::now();
       if (!t.ok()) return 1e300;
       return std::chrono::duration<double>(t1 - t0).count();

@@ -1,57 +1,11 @@
 #include "common/thread_pool.h"
 
-#include <algorithm>
-#include <chrono>
-
 namespace mpq {
 
 namespace {
 /// Index of the worker the current thread is, or SIZE_MAX off-pool. Set once
 /// per worker thread at startup; identifies the deque Submit should use.
 thread_local size_t tls_worker_id = SIZE_MAX;
-
-/// State shared between a ParallelFor caller and its helper tasks. Helpers
-/// hold it via shared_ptr, so a helper that only gets scheduled after the
-/// caller returned still finds valid (already exhausted) state.
-struct ForState {
-  size_t n = 0;
-  size_t grain = 1;
-  size_t num_chunks = 0;
-  std::atomic<size_t> next_chunk{0};
-  std::atomic<size_t> chunks_done{0};
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t error_chunk = SIZE_MAX;  // guarded by mu
-  Status error;                   // guarded by mu
-};
-
-/// Claims chunks until none remain. `fn` belongs to the calling frame: the
-/// caller passes its own argument, helpers pass their private copy.
-void RunChunks(const std::shared_ptr<ForState>& s,
-               const std::function<Status(size_t, size_t)>& fn) {
-  for (;;) {
-    size_t c = s->next_chunk.fetch_add(1, std::memory_order_relaxed);
-    if (c >= s->num_chunks) return;
-    // Every chunk runs even after a failure elsewhere: that keeps the
-    // reported error (lowest failing chunk) deterministic across thread
-    // counts, and errors terminate the whole query anyway.
-    size_t begin = c * s->grain;
-    Status st = fn(begin, std::min(begin + s->grain, s->n));
-    if (!st.ok()) {
-      std::lock_guard<std::mutex> lock(s->mu);
-      if (c < s->error_chunk) {
-        s->error_chunk = c;
-        s->error = std::move(st);
-      }
-    }
-    if (s->chunks_done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        s->num_chunks) {
-      std::lock_guard<std::mutex> lock(s->mu);
-      s->cv.notify_all();
-      return;
-    }
-  }
-}
 }  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
@@ -162,50 +116,6 @@ void ThreadPool::WorkerLoop(size_t id) {
     });
     if (stop_) return;
   }
-}
-
-Status ParallelFor(ThreadPool* pool, size_t n, size_t grain,
-                   const std::function<Status(size_t, size_t)>& fn) {
-  if (n == 0) return Status::OK();
-  if (grain == 0) grain = 1;
-  size_t num_chunks = (n + grain - 1) / grain;
-  if (pool == nullptr || pool->size() == 0 || num_chunks == 1) {
-    for (size_t c = 0; c < num_chunks; ++c) {
-      size_t begin = c * grain;
-      MPQ_RETURN_NOT_OK(fn(begin, std::min(begin + grain, n)));
-    }
-    return Status::OK();
-  }
-
-  auto state = std::make_shared<ForState>();
-  state->n = n;
-  state->grain = grain;
-  state->num_chunks = num_chunks;
-
-  // Each helper owns a copy of `fn`, so one scheduled after the caller
-  // already returned (every chunk claimed) is still safe: it finds the chunk
-  // counter exhausted and exits without invoking its copy.
-  size_t num_helpers = std::min(pool->size(), num_chunks - 1);
-  for (size_t i = 0; i < num_helpers; ++i) {
-    pool->Submit([state, fn] { RunChunks(state, fn); });
-  }
-
-  RunChunks(state, fn);
-
-  // All chunks are claimed; wait for helpers still finishing theirs, running
-  // other queued pool work meanwhile (keeps nested ParallelFor/Submit from
-  // ever deadlocking). The timed wait covers the race between a final
-  // completion and this thread going to sleep.
-  while (state->chunks_done.load(std::memory_order_acquire) < num_chunks) {
-    if (pool->TryRunOneTask()) continue;
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->cv.wait_for(lock, std::chrono::milliseconds(1), [&] {
-      return state->chunks_done.load(std::memory_order_acquire) >= num_chunks;
-    });
-  }
-
-  std::lock_guard<std::mutex> lock(state->mu);
-  return state->error_chunk == SIZE_MAX ? Status::OK() : state->error;
 }
 
 }  // namespace mpq

@@ -1,14 +1,11 @@
-// A small work-stealing thread pool plus a deterministic ParallelFor.
+// A small work-stealing thread pool.
 //
 // Each worker owns a deque: it pops its own work LIFO (cache locality) and
 // steals FIFO from siblings when empty. Threads that must block on pool work
-// (ParallelFor callers, future waiters) never idle — they run queued tasks
+// (fragment-DAG drains, future waiters) never idle — they run queued tasks
 // while waiting, which makes nested submission from inside pool tasks
-// deadlock-free at any pool size.
-//
-// ParallelFor partitions [0, n) into fixed-size chunks that do NOT depend on
-// the number of threads, so any per-chunk computation merged in chunk order
-// yields bit-identical results at 1, 2, or N threads.
+// deadlock-free at any pool size. Deterministic data-parallel loops go
+// through exec/morsel.h's MorselScheduler, which runs on top of this pool.
 
 #ifndef MPQ_COMMON_THREAD_POOL_H_
 #define MPQ_COMMON_THREAD_POOL_H_
@@ -21,8 +18,6 @@
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "common/status.h"
 
 namespace mpq {
 
@@ -74,15 +69,6 @@ class ThreadPool {
   std::atomic<size_t> next_queue_{0};
   std::atomic<size_t> pending_{0};
 };
-
-/// Runs `fn(begin, end)` over [0, n) in chunks of `grain` indices, spreading
-/// chunks across the pool; the calling thread participates. Chunk boundaries
-/// depend only on `n` and `grain` — never on pool size — so merging per-chunk
-/// results in chunk order is deterministic across thread counts. On error the
-/// Status of the lowest-index failing chunk is returned. Runs inline when
-/// `pool` is null, has no workers, or n fits in one chunk.
-Status ParallelFor(ThreadPool* pool, size_t n, size_t grain,
-                   const std::function<Status(size_t, size_t)>& fn);
 
 }  // namespace mpq
 

@@ -111,7 +111,8 @@ Result<DistributedResult> DistributedRuntime::Run(const ExtendedPlan& ext,
   // the only code that may still run while Run() is returning, and it only
   // touches the shared SyncState — never the stack-owned closures, which are
   // guaranteed alive through run_node's body (active > 0 until after it).
-  std::function<void(int)> schedule = [&run_node, sync, this](int idx) {
+  ThreadPool* pool = scheduler_ != nullptr ? scheduler_->pool() : nullptr;
+  std::function<void(int)> schedule = [&run_node, sync, pool](int idx) {
     auto task = [&run_node, sync, idx] {
       run_node(idx);
       if (sync->active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -119,7 +120,7 @@ Result<DistributedResult> DistributedRuntime::Run(const ExtendedPlan& ext,
         sync->cv.notify_all();
       }
     };
-    if (pool_ == nullptr || pool_->size() == 0 || !pool_->Submit(task)) {
+    if (pool == nullptr || pool->size() == 0 || !pool->Submit(task)) {
       // No pool, or Submit rejected (pool shutting down): run inline.
       task();
     }
@@ -195,8 +196,7 @@ Result<DistributedResult> DistributedRuntime::Run(const ExtendedPlan& ext,
                                           0x9e3779b97f4a7c15ull);
     ctx.nonce_seed = run_seed ^
                      (static_cast<uint64_t>(n->id) + 1) * 0x94d049bb133111ebull;
-    ctx.pool = pool_;
-    ctx.morsels = morsels_;
+    ctx.morsels = scheduler_;
     ctx.shared_scans = shared_scans_;
     ctx.batch_size = batch_size_ == 0 ? 1 : batch_size_;
     ctx.op_profile = op_profile_;
@@ -373,7 +373,7 @@ Result<DistributedResult> DistributedRuntime::Run(const ExtendedPlan& ext,
   // Wait for the DAG to drain, helping with queued work instead of idling.
   for (;;) {
     if (sync->active.load(std::memory_order_acquire) == 0) break;
-    if (pool_ != nullptr && pool_->TryRunOneTask()) continue;
+    if (pool != nullptr && pool->TryRunOneTask()) continue;
     std::unique_lock<std::mutex> lock(sync->mu);
     sync->cv.wait_for(lock, std::chrono::milliseconds(1), [&] {
       return sync->active.load(std::memory_order_acquire) == 0;

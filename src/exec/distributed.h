@@ -7,11 +7,12 @@
 // required key fails, which is the enforcement property the paper's key
 // distribution provides.
 //
-// With a ThreadPool attached, per-assignee fragments are scheduled as async
-// tasks along the plan's dependency edges: nodes whose subtrees don't feed
-// each other run concurrently, modelling subjects computing in parallel.
-// Stats are mutex-guarded and every node derives its nonce base from the
-// node id, so results and transfer bytes are identical at any thread count.
+// With a MorselScheduler attached, per-assignee fragments are scheduled as
+// async tasks on its pool along the plan's dependency edges: nodes whose
+// subtrees don't feed each other run concurrently, modelling subjects
+// computing in parallel. Stats are mutex-guarded and every node derives its
+// nonce base from the node id, so results and transfer bytes are identical
+// at any thread count.
 //
 // Fragment results move through per-node Channels (net/channel.h): each task
 // Sends its table to its parent's mailbox and a task only runs once every
@@ -35,7 +36,6 @@
 #include <memory>
 
 #include "assign/schemes.h"
-#include "common/thread_pool.h"
 #include "extend/extend.h"
 #include "extend/keys.h"
 #include "exec/executor.h"
@@ -101,30 +101,12 @@ class DistributedRuntime {
     udfs_[name] = std::move(impl);
   }
 
-  /// Attaches a pool: independent fragments then run as concurrent async
-  /// tasks, and each engine evaluates operators batch-parallel. Null (the
-  /// default) runs everything sequentially. The pool is borrowed, not
-  /// owned. Unless SetMorselScheduler has injected a shared one, the
-  /// runtime creates a private MorselScheduler over the pool so operator
-  /// loops run morsel-driven here too; inject the shared one first so no
-  /// private scheduler is built at all.
-  void SetThreadPool(ThreadPool* pool) {
-    pool_ = pool;
-    if (pool != nullptr && morsels_ == nullptr) {
-      owned_morsels_ = std::make_unique<MorselScheduler>(pool);
-      morsels_ = owned_morsels_.get();
-    }
-  }
-
-  /// Injects the process-wide morsel scheduler (borrowed): operator loops
-  /// then enqueue on it instead of a private one (released if SetThreadPool
-  /// already built it), so every concurrent query of a serving process
-  /// draws from one task queue.
-  void SetMorselScheduler(MorselScheduler* morsels) {
-    if (morsels == nullptr) return;
-    morsels_ = morsels;
-    owned_morsels_.reset();
-  }
+  /// Attaches a morsel scheduler (borrowed): independent fragments then run
+  /// as concurrent tasks on its pool, and each engine runs its operator
+  /// loops as morsels on it — a serving process passes its one shared
+  /// scheduler, so every concurrent query draws from one task queue. Null
+  /// (the default) runs everything sequentially.
+  void SetScheduler(MorselScheduler* scheduler) { scheduler_ = scheduler; }
 
   /// Attaches the process-wide shared-scan manager (borrowed): concurrent
   /// base-table selects over the same snapshot then coalesce onto one
@@ -197,11 +179,7 @@ class DistributedRuntime {
   /// concurrent Run calls each advance it once, so no two runs — parallel or
   /// sequential — share a (key, nonce) pair.
   std::atomic<uint64_t> nonce_seed_{0x243f6a8885a308d3ull};
-  ThreadPool* pool_ = nullptr;
-  /// Private scheduler created by SetThreadPool when none is injected, so
-  /// standalone runtimes (tests, benches) run morsel-driven too.
-  std::unique_ptr<MorselScheduler> owned_morsels_;
-  MorselScheduler* morsels_ = nullptr;
+  MorselScheduler* scheduler_ = nullptr;
   SharedScanManager* shared_scans_ = nullptr;
   size_t batch_size_ = Table::kDefaultBatchSize;
   SimNet* net_ = nullptr;

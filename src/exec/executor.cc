@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -29,19 +27,19 @@ namespace mpq {
 namespace {
 
 /// Batch size with the zero value normalized, matching Table::Batch and the
-/// ParallelFor grain so `begin / Grain(ctx)` is always a valid batch index.
+/// morsel grain so `begin / Grain(ctx)` is always a valid batch index.
 size_t Grain(const ExecContext* ctx) {
   return ctx->batch_size == 0 ? 1 : ctx->batch_size;
 }
 
-/// The per-batch loop of operator `kind`: routed through the global
-/// MorselScheduler when one is attached (all concurrent queries then draw
-/// from one task queue), private ParallelFor fan-out otherwise. The (n,
-/// grain) morsel partition is identical either way, so results are too.
-/// Also accounts the loop's morsel count for the operator profile and for
-/// per-operator span attribution.
-Status OpParallelFor(ExecContext* ctx, OpKind kind, size_t n,
-                     const std::function<Status(size_t, size_t)>& fn) {
+/// The per-batch loop of operator `kind`: run on the context's
+/// MorselScheduler (all concurrent queries then draw from one task queue),
+/// or as a plain inline loop without one. The (n, grain) morsel partition is
+/// identical either way, so results are too. Also accounts the loop's
+/// morsel count for the operator profile and for per-operator span
+/// attribution.
+Status RunOpMorsels(ExecContext* ctx, OpKind kind, size_t n,
+                    const std::function<Status(size_t, size_t)>& fn) {
   size_t grain = Grain(ctx);
   if (n > 0) {
     uint64_t m = (n + grain - 1) / grain;
@@ -49,7 +47,10 @@ Status OpParallelFor(ExecContext* ctx, OpKind kind, size_t n,
     ctx->op_morsels.fetch_add(m, std::memory_order_relaxed);
   }
   if (ctx->morsels != nullptr) return ctx->morsels->Run(n, grain, fn);
-  return ParallelFor(ctx->pool, n, grain, fn);
+  for (size_t begin = 0; begin < n; begin += grain) {
+    MPQ_RETURN_NOT_OK(fn(begin, std::min(begin + grain, n)));
+  }
+  return Status::OK();
 }
 
 Status ColNotFound(const PlanNode* n, AttrId a, const Catalog& catalog) {
@@ -389,7 +390,7 @@ Result<Table> ExecSelect(const PlanNode* n, Table in, ExecContext* ctx) {
     MPQ_RETURN_NOT_OK(ctx->shared_scans->Scan(
         in.ShareCol(0).get(), in.num_rows(), Grain(ctx), fill_batch));
   } else {
-    MPQ_RETURN_NOT_OK(OpParallelFor(
+    MPQ_RETURN_NOT_OK(RunOpMorsels(
         ctx, OpKind::kSelect, in.num_rows(),
         [&](size_t begin, size_t end) -> Status {
           return fill_batch(begin / Grain(ctx), begin, end);
@@ -650,7 +651,7 @@ Result<Table> ExecCartesian(const PlanNode*, Table l, Table r,
                             ExecContext* ctx) {
   std::vector<ExecColumn> out_cols = ConcatColumns(l, r);
   std::vector<Chunk> chunks(l.NumBatches(Grain(ctx)));
-  MPQ_RETURN_NOT_OK(OpParallelFor(
+  MPQ_RETURN_NOT_OK(RunOpMorsels(
       ctx, OpKind::kCartesian, l.num_rows(),
       [&](size_t begin, size_t end) -> Status {
         Chunk& ch = chunks[begin / Grain(ctx)];
@@ -800,7 +801,7 @@ Result<Table> ExecJoinInMemory(const PlanNode* n, Table l, Table r,
     }
 
     std::vector<Chunk> chunks(r.NumBatches(Grain(ctx)));
-    MPQ_RETURN_NOT_OK(OpParallelFor(
+    MPQ_RETURN_NOT_OK(RunOpMorsels(
         ctx, OpKind::kJoin, r.num_rows(),
         [&](size_t begin, size_t end) -> Status {
           SelectionVector li, ri;
@@ -858,7 +859,7 @@ Result<Table> ExecJoinInMemory(const PlanNode* n, Table l, Table r,
                                : r.col(c - l.num_columns()).GetCell(j);
   };
   std::vector<Chunk> chunks(l.NumBatches(Grain(ctx)));
-  MPQ_RETURN_NOT_OK(OpParallelFor(
+  MPQ_RETURN_NOT_OK(RunOpMorsels(
       ctx, OpKind::kJoin, l.num_rows(),
       [&](size_t begin, size_t end) -> Status {
         SelectionVector li, ri;
@@ -1448,7 +1449,7 @@ Result<Table> ExecGroupByInMemory(const PlanNode* n, Table in,
   // (typed path) or arena-backed byte keys; each aggregate then folds its
   // own column into the contiguous state arena.
   std::vector<BatchGroups> batches(in.NumBatches(Grain(ctx)));
-  MPQ_RETURN_NOT_OK(OpParallelFor(
+  MPQ_RETURN_NOT_OK(RunOpMorsels(
       ctx, OpKind::kGroupBy, in.num_rows(),
       [&](size_t begin, size_t end) -> Status {
         BatchGroups& bg = batches[begin / Grain(ctx)];
@@ -2072,7 +2073,7 @@ Result<Table> ExecEncrypt(const PlanNode* n, Table in, ExecContext* ctx) {
     uint64_t nonce_base = ctx->ColumnNonceBase(n->id, a);
     const ColumnData& src = in.col(static_cast<size_t>(idx));
     std::vector<EncValue> encs(in.num_rows());
-    MPQ_RETURN_NOT_OK(OpParallelFor(
+    MPQ_RETURN_NOT_OK(RunOpMorsels(
         ctx, OpKind::kEncrypt, in.num_rows(),
         [&](size_t begin, size_t end) -> Status {
           return codec.EncryptSpan(src, begin, end, scheme, nonce_base,
@@ -2112,7 +2113,7 @@ Result<Table> ExecDecrypt(const PlanNode* n, Table in, ExecContext* ctx) {
     // DecryptSpan handles the whole span: ciphertexts decrypt (including the
     // homomorphic-average division), plain NULLs and stray plaintext cells
     // inside a ciphertext column pass through untouched.
-    MPQ_RETURN_NOT_OK(OpParallelFor(
+    MPQ_RETURN_NOT_OK(RunOpMorsels(
         ctx, OpKind::kDecrypt, in.num_rows(),
         [&](size_t begin, size_t end) -> Status {
           return codec.DecryptSpan(src, begin, end, col.type, avg,
@@ -2338,53 +2339,19 @@ Result<Table> ExecutePlan(const PlanNode* root, ExecContext* ctx) {
       }
     }
   }
+  // Independent subtrees run as the morsels of one run (child i is morsel
+  // i): the caller takes child 0, pool workers the rest, and the
+  // lowest-index child error wins, as in the sequential order.
   size_t nc = root->num_children();
-  std::vector<Table> inputs;
-  inputs.reserve(nc);
-
-  if (ctx->pool != nullptr && ctx->pool->size() > 0 && nc > 1) {
-    // Independent subtrees run concurrently: children 1..n-1 go to the pool,
-    // child 0 runs on this thread, which then helps drain the pool while
-    // waiting (deadlock-free under recursive submission).
-    std::vector<std::optional<Result<Table>>> results(nc);
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t remaining = nc - 1;
-    for (size_t i = 1; i < nc; ++i) {
-      auto task = [&, i] {
-        Result<Table> r = ExecutePlan(root->child(i), ctx);
-        std::lock_guard<std::mutex> lock(mu);
-        results[i] = std::move(r);
-        if (--remaining == 0) cv.notify_all();
-      };
-      // Submit only rejects during pool shutdown; run the subtree here
-      // then, trading parallelism for the result.
-      if (!ctx->pool->Submit(task)) task();
-    }
-    results[0] = ExecutePlan(root->child(0), ctx);
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (remaining == 0) break;
-      }
-      if (ctx->pool->TryRunOneTask()) continue;
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait_for(lock, std::chrono::milliseconds(1),
-                  [&] { return remaining == 0; });
-    }
-    // Report the lowest-index child error for determinism.
-    for (size_t i = 0; i < nc; ++i) {
-      if (!results[i]->ok()) return results[i]->status();
-    }
-    for (size_t i = 0; i < nc; ++i) {
-      inputs.push_back(std::move(*results[i]).value());
-    }
-    return ExecuteNodeOnInputs(root, std::move(inputs), ctx);
-  }
-
-  for (size_t i = 0; i < nc; ++i) {
-    MPQ_ASSIGN_OR_RETURN(Table t, ExecutePlan(root->child(i), ctx));
-    inputs.push_back(std::move(t));
+  std::vector<Table> inputs(nc);
+  auto run_child = [&](size_t i, size_t) -> Status {
+    MPQ_ASSIGN_OR_RETURN(inputs[i], ExecutePlan(root->child(i), ctx));
+    return Status::OK();
+  };
+  if (ctx->morsels != nullptr && nc > 1) {
+    MPQ_RETURN_NOT_OK(ctx->morsels->Run(nc, 1, run_child));
+  } else {
+    for (size_t i = 0; i < nc; ++i) MPQ_RETURN_NOT_OK(run_child(i, i + 1));
   }
   return ExecuteNodeOnInputs(root, std::move(inputs), ctx);
 }

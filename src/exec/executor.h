@@ -3,8 +3,8 @@
 // Paillier, and on-the-fly encryption/decryption operators.
 //
 // Operators process fixed-size RowBatches; when an ExecContext carries a
-// ThreadPool, batches of one operator and independent plan subtrees run
-// concurrently. Batch boundaries and merge order are thread-count
+// MorselScheduler, batches of one operator and independent plan subtrees run
+// as morsels on its pool. Batch boundaries and merge order are thread-count
 // independent, so results are deterministic at any pool size.
 
 #ifndef MPQ_EXEC_EXECUTOR_H_
@@ -21,7 +21,6 @@
 #include "algebra/plan.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "crypto/keyring.h"
 #include "exec/table.h"
 #include "profile/op_stats.h"
@@ -92,14 +91,11 @@ struct ExecContext {
   /// so runtimes building one context per plan node can still serialize
   /// every node's udf calls on one mutex.
   std::shared_ptr<std::mutex> udf_mu = std::make_shared<std::mutex>();
-  /// When set, operators parallelize per-batch work and ExecutePlan runs
-  /// independent subtrees concurrently. Null means fully sequential.
-  ThreadPool* pool = nullptr;
-  /// When set, operators enqueue their per-batch loops as morsel tasks on
-  /// this global scheduler instead of fanning out privately via ParallelFor
-  /// — all concurrent queries then draw from one task queue. Morsel
-  /// boundaries are the same (n, grain) partition either way, so results
-  /// stay bit-identical with or without it.
+  /// When set, operators run their per-batch loops as morsels on this
+  /// scheduler and ExecutePlan runs independent subtrees as morsels of one
+  /// run — every query sharing the scheduler draws from one task queue.
+  /// Null means fully sequential. Morsel boundaries are the same (n, grain)
+  /// partition either way, so results stay bit-identical at any pool size.
   MorselScheduler* morsels = nullptr;
   /// When set, base-table selects coalesce with concurrent scans over the
   /// same column payload (see SharedScanManager). Pure scheduling: each

@@ -48,8 +48,7 @@ Result<FailoverOutcome> FailoverExecutor::Attempt(const PlanNode* plan,
       keys, user,
       SplitMix64(config_.key_seed ^ (attempt + 1) * 0x9e3779b97f4a7c15ull));
   rt.SetCryptoPlan(MakeCryptoPlan(out.assignment.refined_schemes, keys));
-  rt.SetMorselScheduler(config_.morsels);
-  rt.SetThreadPool(config_.pool);
+  rt.SetScheduler(config_.morsels);
   rt.SetSharedScans(config_.shared_scans);
   rt.SetBatchSize(config_.batch_size);
   rt.SetNetwork(net_);

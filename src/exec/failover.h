@@ -36,10 +36,8 @@ struct FailoverConfig {
   size_t max_failovers = 2;      ///< Re-plan attempts after the first run.
   NetPolicy net_policy;          ///< Per-edge retry/deadline budget.
   bool compress_wire = true;     ///< Segment-encode cross-subject transfers.
-  ThreadPool* pool = nullptr;    ///< Borrowed; null = sequential.
-  /// Borrowed; when set, attempt runtimes enqueue operator loops on this
-  /// process-wide morsel scheduler instead of private fan-out. Null lets
-  /// each runtime create its own over `pool`.
+  /// Borrowed; attempt runtimes run fragments and operator loops on this
+  /// scheduler (see DistributedRuntime::SetScheduler). Null = sequential.
   MorselScheduler* morsels = nullptr;
   /// Borrowed; when set, concurrent same-snapshot base scans coalesce.
   SharedScanManager* shared_scans = nullptr;

@@ -16,7 +16,7 @@ bool MorselScheduler::ClaimAndRunOne(const std::shared_ptr<Registry>& reg,
   }
   // Every morsel runs even after a failure elsewhere: that keeps the
   // reported error (lowest failing morsel) deterministic across thread
-  // counts, matching the ParallelFor contract.
+  // counts.
   size_t begin = m * rs->grain;
   Status st = rs->fn(begin, std::min(begin + rs->grain, rs->n));
   reg->executed.fetch_add(1, std::memory_order_relaxed);
@@ -107,11 +107,11 @@ Status MorselScheduler::Run(size_t n, size_t grain,
   // The caller claims its own morsels first (its run never starves), then
   // helps other runs' morsels while waiting. It deliberately does NOT run
   // arbitrary pool tasks here: this thread may hold an admission slot, and
-  // an arbitrary task can be another async query that blocks on admission —
-  // nest a few of those and every thread is parked under a suspended query
-  // (deadlock). Morsel work never blocks, so pumping is always safe. The
-  // timed wait covers the race between the final completion and this
-  // thread going to sleep.
+  // an arbitrary task can be a whole other query (an async start or a
+  // fragment of another DAG) that the slot would then wait out, nested
+  // under this run. A morsel only ever waits on other morsels (a nested
+  // Run), so pumping is always safe. The timed wait covers the race between
+  // the final completion and this thread going to sleep.
   for (;;) {
     if (ClaimAndRunOne(reg_, rs)) continue;
     {
@@ -242,9 +242,10 @@ Status SharedScanManager::Scan(
 
   // All batches claimed; wait for co-scanners still evaluating theirs. As
   // in MorselScheduler::Run, no arbitrary pool task runs here — this thread
-  // holds an admission slot, and inlining another query's task under it can
-  // deadlock the admission cap. Co-scanners finish their in-flight batch in
-  // bounded time, so a short timed wait is all that is needed.
+  // holds an admission slot, and inlining another query's task under it
+  // would hold the slot for that query's whole run. Co-scanners finish
+  // their in-flight batch in bounded time, so a short timed wait is all
+  // that is needed.
   for (;;) {
     {
       std::lock_guard<std::mutex> sl(scan->mu);

@@ -38,10 +38,11 @@
 
 namespace mpq {
 
-/// Global morsel queue. One instance is shared by every query a service (or
-/// a distributed runtime) executes; operators call Run() instead of
-/// ParallelFor, which makes all concurrent queries draw from one task pool
-/// instead of each fanning out independently.
+/// Global morsel queue: the engine's only parallel route. One instance is
+/// shared by every query a service (or a distributed runtime) executes;
+/// operator loops and independent plan subtrees call Run(), so all
+/// concurrent queries draw from one task pool instead of each fanning out
+/// independently.
 class MorselScheduler {
  public:
   /// `pool` may be null (every Run executes inline, sequentially).
@@ -54,8 +55,9 @@ class MorselScheduler {
   /// Registers the run in the global FIFO so pool workers help; the calling
   /// thread claims morsels from its own run first, then pumps other runs
   /// while waiting. Deterministic: morsel boundaries depend only on (n,
-  /// grain); on error the Status of the lowest-index failing morsel wins,
-  /// and all morsels still execute (same contract as ParallelFor).
+  /// grain); on error the Status of the lowest-index failing morsel wins.
+  /// With a pool every morsel still executes after a failure; inline, the
+  /// loop stops at the first failing morsel. Run may nest inside a morsel.
   Status Run(size_t n, size_t grain,
              const std::function<Status(size_t, size_t)>& fn);
 
@@ -135,8 +137,8 @@ class SharedScanManager {
   /// only self-scan the prefix the leader already passed. `fn` runs for
   /// every batch exactly once per caller regardless of coalescing. Scan
   /// never runs unrelated pool work while waiting — callers typically hold
-  /// an admission slot, and inlining another query's task under it can
-  /// deadlock the admission cap.
+  /// an admission slot, and inlining another query's task under it would
+  /// hold the slot for that query's whole run.
   Status Scan(const void* id, size_t n, size_t grain,
               const std::function<Status(size_t, size_t, size_t)>& fn);
 

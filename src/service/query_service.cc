@@ -47,8 +47,8 @@ size_t QueryService::PlanCacheKeyHash::operator()(const PlanCacheKey& k) const {
 /// for the lifetime of the enclosing Execute.
 class QueryService::AdmissionSlot {
  public:
-  /// `adopt` takes over a slot the caller already claimed via
-  /// TryClaimSlot() — the constructor then only binds the release.
+  /// `adopt` takes over a slot the caller already holds — the constructor
+  /// then only binds the release.
   explicit AdmissionSlot(QueryService* service, bool adopt = false)
       : service_(service) {
     if (adopt) return;
@@ -64,13 +64,7 @@ class QueryService::AdmissionSlot {
         std::max(service_->in_flight_peak_, service_->in_flight_);
   }
 
-  ~AdmissionSlot() {
-    {
-      std::lock_guard<std::mutex> lock(service_->admission_mu_);
-      service_->in_flight_--;
-    }
-    service_->admission_cv_.notify_one();
-  }
+  ~AdmissionSlot() { service_->ReleaseSlot(); }
 
   AdmissionSlot(const AdmissionSlot&) = delete;
   AdmissionSlot& operator=(const AdmissionSlot&) = delete;
@@ -315,51 +309,48 @@ Result<std::shared_ptr<AsyncQuery>> QueryService::ExecuteAsync(
   }
   async_queries_.fetch_add(1, std::memory_order_relaxed);
 
-  auto query = std::shared_ptr<AsyncQuery>(new AsyncQuery(pool_.get()));
-  // The task owns copies of everything it touches: the handle may be
-  // destroyed and the submitting thread gone by the time a worker runs it.
-  auto sql = std::make_shared<const std::string>(stmt.normalized_sql);
-  std::shared_ptr<const AstSelect> ast = stmt.ast;
-  Session sess = session;
-  auto task = [this, query, sql, ast, sess] {
-    RunAsyncTask(query, sql, ast, sess);
-  };
+  AsyncTask async{std::shared_ptr<AsyncQuery>(new AsyncQuery(pool_.get())),
+                  std::make_shared<const std::string>(stmt.normalized_sql),
+                  stmt.ast, session};
+  auto task = [this, async] { RunAsyncTask(async, /*admitted=*/false); };
   // Run inline when there is no pool or the pool is shutting down — the
   // handle then completes before ExecuteAsync returns.
   if (pool_ == nullptr || pool_->size() == 0 || !pool_->Submit(task)) task();
-  return query;
+  return async.query;
 }
 
-void QueryService::RunAsyncTask(std::shared_ptr<AsyncQuery> query,
-                                std::shared_ptr<const std::string> sql,
-                                std::shared_ptr<const AstSelect> ast,
-                                const Session& sess) {
-  // A pool worker must NEVER park inside AdmissionSlot: waiters all over the
-  // engine (fragment DAG drains, ParallelFor) help by inlining queued pool
-  // tasks, so an async task can start nested under a query that already
-  // holds a slot — let it block there and a handful of nested starts park
-  // every thread under a suspended slot-holder (deadlock). Instead, when the
-  // service is at max_in_flight, requeue behind the other queued work and
-  // let this thread get back to finishing the queries that hold the slots.
-  bool admitted = TryClaimSlot();
-  if (!admitted && pool_ != nullptr && pool_->size() > 0) {
-    if (pool_->Submit([this, query, sql, ast, sess] {
-          RunAsyncTask(query, sql, ast, sess);
-        })) {
-      std::this_thread::yield();  // give slot holders the core back
+void QueryService::RunAsyncTask(const AsyncTask& task, bool admitted) {
+  // A pool worker must NEVER block inside AdmissionSlot: waiters in the
+  // engine (fragment DAG drains, AsyncQuery::Wait) help by inlining queued
+  // pool tasks, so an async task can start nested under a query that
+  // already holds a slot — let it block there and a handful of nested
+  // starts park every thread under a suspended slot-holder (deadlock). Nor
+  // may it requeue itself: from a worker, Submit lands on top of that
+  // worker's own LIFO deque, so a slot-holder draining its fragments would
+  // pop the same task again and again while its fragments starve below
+  // (livelock). Instead, when the service is at max_in_flight the task
+  // parks in a FIFO and returns; the next released slot is handed straight
+  // to the oldest parked task (ReleaseSlot), which is then resubmitted.
+  if (!admitted) {
+    std::lock_guard<std::mutex> lock(admission_mu_);
+    if (in_flight_ < std::max<size_t>(1, config_.max_in_flight)) {
+      admitted = true;
+      in_flight_++;
+      in_flight_peak_ = std::max(in_flight_peak_, in_flight_);
+    } else if (pool_ != nullptr && pool_->size() > 0) {
+      parked_.push_back(task);
       return;
     }
-    // Submit rejected (pool shutting down): fall through and run here,
-    // blocking on admission like the synchronous path — this thread is
-    // draining the queue inline, it holds no slot.
+    // No pool: this is the submitting thread running the task inline, and
+    // it holds no slot — block on admission like the synchronous path.
   }
   bool cancelled = false;
   {
-    std::lock_guard<std::mutex> lock(query->mu_);
-    if (query->state_ == AsyncQuery::State::kCancelled) {
+    std::lock_guard<std::mutex> lock(task.query->mu_);
+    if (task.query->state_ == AsyncQuery::State::kCancelled) {
       cancelled = true;
     } else {
-      query->state_ = AsyncQuery::State::kRunning;
+      task.query->state_ = AsyncQuery::State::kRunning;
     }
   }
   {
@@ -372,28 +363,38 @@ void QueryService::RunAsyncTask(std::shared_ptr<AsyncQuery> query,
     return;
   }
   Result<QueryResponse> r =
-      ExecuteInternal(*sql, ast.get(), sess, /*force_trace=*/false,
-                      /*detail=*/nullptr, /*preadmitted=*/admitted);
-  std::lock_guard<std::mutex> lock(query->mu_);
-  query->result_ = std::move(r);
-  query->state_ = AsyncQuery::State::kDone;
-  query->cv_.notify_all();
-}
-
-bool QueryService::TryClaimSlot() {
-  std::lock_guard<std::mutex> lock(admission_mu_);
-  if (in_flight_ >= std::max<size_t>(1, config_.max_in_flight)) return false;
-  in_flight_++;
-  in_flight_peak_ = std::max(in_flight_peak_, in_flight_);
-  return true;
+      ExecuteInternal(*task.sql, task.ast.get(), task.sess,
+                      /*force_trace=*/false, /*detail=*/nullptr,
+                      /*preadmitted=*/admitted);
+  std::lock_guard<std::mutex> lock(task.query->mu_);
+  task.query->result_ = std::move(r);
+  task.query->state_ = AsyncQuery::State::kDone;
+  task.query->cv_.notify_all();
 }
 
 void QueryService::ReleaseSlot() {
+  AsyncTask next;
   {
     std::lock_guard<std::mutex> lock(admission_mu_);
-    in_flight_--;
+    if (parked_.empty()) {
+      in_flight_--;
+    } else {
+      next = std::move(parked_.front());
+      parked_.pop_front();
+    }
   }
-  admission_cv_.notify_one();
+  if (next.query == nullptr) {
+    admission_cv_.notify_one();
+    return;
+  }
+  // The slot stays in flight and passes to the oldest parked task. A
+  // stopping pool rejects it: cancel the task instead of running a whole
+  // query nested here; its cancelled run passes the slot on in turn.
+  auto task = [this, next] { RunAsyncTask(next, /*admitted=*/true); };
+  if (!pool_->Submit(task)) {
+    next.query->Cancel();
+    task();
+  }
 }
 
 Result<std::shared_ptr<AsyncQuery>> QueryService::ExecuteSqlAsync(
@@ -678,8 +679,7 @@ QueryService::BuildPreparedPlan(const std::string& normalized_sql,
   entry->runtime->DistributeKeys(entry->keys, subject, seed);
   entry->runtime->SetCryptoPlan(
       MakeCryptoPlan(entry->assignment.refined_schemes, entry->keys));
-  entry->runtime->SetMorselScheduler(morsels_.get());
-  entry->runtime->SetThreadPool(pool_.get());
+  entry->runtime->SetScheduler(morsels_.get());
   entry->runtime->SetSharedScans(&shared_scans_);
   entry->runtime->SetBatchSize(config_.batch_size);
   entry->runtime->SetNetwork(config_.net);
@@ -802,7 +802,6 @@ Result<QueryResponse> QueryService::ExecuteInternal(
                              std::hash<std::string>{}(normalized_sql));
     fc.max_failovers = config_.max_failovers;
     fc.net_policy = config_.net_policy;
-    fc.pool = pool_.get();
     fc.morsels = morsels_.get();
     fc.shared_scans = &shared_scans_;
     fc.batch_size = config_.batch_size;

@@ -18,6 +18,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -152,8 +153,9 @@ class Session {
 /// A query admitted to the async path: a future over its QueryResponse,
 /// completed when the query's last morsel finishes. Handles are obtained
 /// from QueryService::ExecuteAsync and share ownership of the backing state
-/// with the service's task, so they may be dropped or kept freely (they
-/// must not outlive the service itself). All methods are thread-safe.
+/// with the service's task, so they may be dropped or kept freely. Destroying
+/// the service runs or cancels every pending query, so a handle kept past
+/// it is already resolved. All methods are thread-safe.
 class AsyncQuery {
  public:
   AsyncQuery(const AsyncQuery&) = delete;
@@ -388,24 +390,29 @@ class QueryService {
   /// in-flight count drops below the configured cap.
   class AdmissionSlot;
 
-  /// `preadmitted`: the caller already claimed an admission slot via
-  /// TryClaimSlot(); the execution adopts (and releases) it instead of
-  /// blocking for one.
+  /// `preadmitted`: the caller already holds an admission slot (claimed or
+  /// handed off in RunAsyncTask); the execution adopts (and releases) it
+  /// instead of blocking for one.
   Result<QueryResponse> ExecuteInternal(const std::string& normalized_sql,
                                         const AstSelect* ast,
                                         const Session& session,
                                         bool force_trace = false,
                                         ExecDetail* detail = nullptr,
                                         bool preadmitted = false);
-  /// Runs (or requeues) one async query's pool task. Pool workers never
-  /// block on admission — see the comment in the implementation.
-  void RunAsyncTask(std::shared_ptr<AsyncQuery> query,
-                    std::shared_ptr<const std::string> sql,
-                    std::shared_ptr<const AstSelect> ast, const Session& sess);
-  /// Claims an admission slot iff one is free (never blocks).
-  bool TryClaimSlot();
-  /// Releases a slot claimed by TryClaimSlot when ExecuteInternal never got
-  /// to adopt it (e.g. the query was cancelled first).
+  /// One accepted async query: the handle plus owned copies of everything
+  /// its execution reads (the submitter may be gone by the time it runs).
+  struct AsyncTask {
+    std::shared_ptr<AsyncQuery> query;
+    std::shared_ptr<const std::string> sql;
+    std::shared_ptr<const AstSelect> ast;
+    Session sess;
+  };
+  /// Runs one async query's pool task. Without a slot (`admitted` false) it
+  /// claims one, or parks the task when the service is full: pool workers
+  /// never block on admission — see the comment in the implementation.
+  void RunAsyncTask(const AsyncTask& task, bool admitted);
+  /// Releases an admission slot. With async tasks parked, the slot passes
+  /// straight to the oldest of them instead of becoming free.
   void ReleaseSlot();
   Result<ExplainAnalyzeReport> ExplainAnalyzeInternal(
       const std::string& normalized_sql, const AstSelect* ast,
@@ -430,7 +437,6 @@ class QueryService {
 
   mutable std::mutex tables_mu_;
   std::map<RelId, const Table*> tables_;  // guarded by tables_mu_
-  std::unique_ptr<ThreadPool> pool_;
   /// The global morsel queue (over pool_) every cached plan's runtime and
   /// every failover runtime enqueues on — one task pool for all concurrent
   /// queries. Null when the service executes inline.
@@ -449,6 +455,9 @@ class QueryService {
   /// started). in_flight_ + async_queued_ is the shed-decision depth.
   size_t async_queued_ = 0;       // guarded by admission_mu_
   size_t queue_depth_peak_ = 0;   // guarded by admission_mu_
+  /// Async tasks that found the service full, oldest first. Each waits for
+  /// a released slot to be handed to it (ReleaseSlot); none holds a thread.
+  std::deque<AsyncTask> parked_;  // guarded by admission_mu_
 
   // Metrics.
   std::atomic<uint64_t> queries_{0};
@@ -482,6 +491,12 @@ class QueryService {
   LatencyHistogram* latency_failover_;
   Tracer tracer_;
   SlowQueryLog slow_log_;
+  /// Declared last so it is destroyed first: joining the workers finishes
+  /// every running query and runs every queued async task while the state
+  /// they touch is still alive. Slots released meanwhile pass to parked
+  /// tasks, which the stopping pool rejects and ReleaseSlot cancels — so
+  /// every AsyncQuery handle is resolved once the service is gone.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace mpq

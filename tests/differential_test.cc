@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "exec/failover.h"
+#include "exec/morsel.h"
 #include "net/simnet.h"
 #include "obs/trace.h"
 #include "testing/random_plan.h"
@@ -107,7 +107,8 @@ TEST(DifferentialTest, ColumnarEngineMatchesRowOracleOnEveryScenario) {
       ExecContext ctx;
       ctx.catalog = c->sc.catalog.get();
       for (const auto& [rel, t] : c->data) ctx.base_tables[rel] = &t;
-      ctx.pool = pool;
+      MorselScheduler sched(pool);
+      ctx.morsels = &sched;
       Result<Table> t = ExecutePlan(c->sc.plan.get(), &ctx);
       ASSERT_TRUE(t.ok()) << "seed " << seed << ": " << t.status().ToString();
       ASSERT_EQ(CanonicalRows(*t), c->oracle_rows)
@@ -128,7 +129,7 @@ TEST(DifferentialTest, ColumnarEngineMatchesRowOracleOnEveryScenario) {
         for (const auto& [rel, tab] : c->data) {
           traced_ctx.base_tables[rel] = &tab;
         }
-        traced_ctx.pool = pool;
+        traced_ctx.morsels = &sched;
         traced_ctx.trace = &trace;
         Result<Table> traced = ExecutePlan(c->sc.plan.get(), &traced_ctx);
         ASSERT_TRUE(traced.ok()) << "seed " << seed;

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+#include <vector>
+
 #include "assign/schemes.h"
 #include "exec/executor.h"
+#include "exec/morsel.h"
 #include "paper_example.h"
 
 namespace mpq {
@@ -268,7 +273,8 @@ TEST_F(ExecutorTest, LazyHomFoldBitIdenticalToEagerCellPathAcrossThreads) {
     for (ThreadPool* pool :
          {static_cast<ThreadPool*>(nullptr), &pool2, &pool8}) {
       ctx_.base_tables[ex_->ins] = base;
-      ctx_.pool = pool;
+      MorselScheduler sched(pool);
+      ctx_.morsels = &sched;
       Result<Table> t = ExecutePlan(gb.get(), &ctx_);
       ASSERT_TRUE(t.ok()) << t.status().ToString();
       ASSERT_EQ(t->num_rows(), 4u);
@@ -310,6 +316,34 @@ TEST_F(ExecutorTest, EncryptWithoutKeyFails) {
   Result<Table> t = ExecutePlan(p.get(), &ctx_);
   EXPECT_FALSE(t.ok());
   EXPECT_EQ(t.status().code(), StatusCode::kNotFound);
+}
+
+TEST_F(ExecutorTest, FailingSubtreesReportChildZeroErrorAtEveryThreadCount) {
+  // Both join inputs fail: the right one at once (its base table is
+  // missing), the left one only after a pause — so on a pool the right
+  // failure usually happens first. Child 0's error must still win at every
+  // thread count, exactly as in the sequential order.
+  PlanBuilder b = ex_->builder();
+  ctx_.udfs["fail_late"] = [](const std::vector<Cell>&) -> Result<Cell> {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return Status::Internal("left subtree failed");
+  };
+  ctx_.base_tables.erase(ex_->ins);
+  PlanPtr p = Finish(
+      Join(Udf(b.Rel("Hosp"), "fail_late", b.Set("S"), b.A("S")),
+           b.Rel("Ins"), {b.Pa("S", CmpOp::kEq, "C")}));
+  ThreadPool pool2(2), pool8(8);
+  for (ThreadPool* pool :
+       {static_cast<ThreadPool*>(nullptr), &pool2, &pool8}) {
+    MorselScheduler sched(pool);
+    ctx_.morsels = pool != nullptr ? &sched : nullptr;
+    Result<Table> t = ExecutePlan(p.get(), &ctx_);
+    ASSERT_FALSE(t.ok());
+    EXPECT_EQ(t.status().code(), StatusCode::kInternal)
+        << t.status().ToString() << " at "
+        << (pool == nullptr ? 1 : pool->size()) << " threads";
+    EXPECT_EQ(t.status().message(), "left subtree failed");
+  }
 }
 
 TEST_F(ExecutorTest, UdfDefaultPlaintext) {

@@ -12,8 +12,8 @@
 
 #include "algebra/plan_builder.h"
 #include "common/flat_hash.h"
-#include "common/thread_pool.h"
 #include "exec/executor.h"
+#include "exec/morsel.h"
 #include "testing/reference_exec.h"
 
 namespace mpq {
@@ -209,7 +209,8 @@ class HashPathEngineTest : public ::testing::Test {
     ctx.base_tables[right_rel_] = &right_;
     ctx.batch_size = 16;  // several batches even on these small tables
     ThreadPool pool(threads);
-    ctx.pool = threads > 0 ? &pool : nullptr;
+    MorselScheduler sched(&pool);
+    ctx.morsels = &sched;
     return ExecutePlan(plan, &ctx);
   }
 

@@ -15,7 +15,7 @@
 
 #include "algebra/plan_builder.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
+#include "exec/morsel.h"
 #include "testing/random_plan.h"
 #include "testing/reference_exec.h"
 
@@ -59,7 +59,8 @@ class MetamorphicTest : public ::testing::Test {
     ExecContext ctx;
     ctx.catalog = env.sc.catalog.get();
     for (const auto& [rel, t] : env.data) ctx.base_tables[rel] = &t;
-    ctx.pool = pool;
+    MorselScheduler sched(pool);
+    ctx.morsels = &sched;
     Result<Table> t = ExecutePlan(plan, &ctx);
     EXPECT_TRUE(t.ok()) << t.status().ToString();
     return t.ok() ? CanonicalRows(*t) : std::vector<std::string>{};

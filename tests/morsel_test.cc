@@ -107,6 +107,67 @@ TEST(MorselSchedulerTest, ConcurrentRunsShareOneQueue) {
   EXPECT_GE(sched.queue_depth_peak(), kN / 64);
 }
 
+TEST(MorselSchedulerTest, NullPoolRunsInline) {
+  // Without a pool every morsel runs on the caller, in order: the plain
+  // counter below needs no synchronization.
+  MorselScheduler sched(nullptr);
+  const std::thread::id caller = std::this_thread::get_id();
+  size_t total = 0;
+  size_t next_begin = 0;
+  Status st = sched.Run(100, 7, [&](size_t begin, size_t end) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(begin, next_begin);
+    next_begin = end;
+    total += end - begin;
+    return Status::OK();
+  });
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(total, 100u);
+  EXPECT_EQ(sched.morsels_executed(), 15u);
+}
+
+TEST(MorselSchedulerTest, NestedRunDoesNotDeadlock) {
+  // Independent plan subtrees are morsels whose bodies run operator loops:
+  // a Run inside a morsel must complete even when every worker is itself
+  // waiting on a nested run.
+  ThreadPool pool(2);
+  MorselScheduler sched(&pool);
+  std::atomic<size_t> total{0};
+  Status st = sched.Run(8, 1, [&](size_t, size_t) {
+    return sched.Run(64, 8, [&](size_t begin, size_t end) {
+      total.fetch_add(end - begin);
+      return Status::OK();
+    });
+  });
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(total.load(), 8u * 64u);
+  EXPECT_EQ(sched.runs_started(), 9u);
+  EXPECT_EQ(sched.morsels_pending(), 0u);
+}
+
+TEST(MorselSchedulerTest, CallerFinishesRunWhileOnlyWorkerIsBusy) {
+  // The only worker is parked on an unrelated task for the whole run: the
+  // caller must claim every morsel itself instead of waiting for help.
+  ThreadPool pool(1);
+  MorselScheduler sched(&pool);
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  ASSERT_TRUE(pool.Submit([&] {
+    entered.store(true);
+    while (!release.load()) std::this_thread::yield();
+  }));
+  while (!entered.load()) std::this_thread::yield();
+  size_t covered = 0;  // caller-only: the worker never gets a morsel
+  Status st = sched.Run(256, 16, [&](size_t begin, size_t end) {
+    covered += end - begin;
+    return Status::OK();
+  });
+  release.store(true);
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(covered, 256u);
+  EXPECT_EQ(sched.morsels_executed(), 16u);
+}
+
 // Collects per-batch coverage for one Scan participant: slot b records how
 // many times fn ran for batch b (each slot is written by whichever thread
 // claimed the batch — exactly-once makes the writes disjoint).

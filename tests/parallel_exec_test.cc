@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "assign/assignment.h"
-#include "common/thread_pool.h"
 #include "exec/distributed.h"
 #include "exec/executor.h"
+#include "exec/morsel.h"
 #include "paper_example.h"
 
 namespace mpq {
@@ -65,11 +65,9 @@ class ParallelExecTest : public ::testing::Test {
     ctx.dispatcher_keyring = &keyring_;
     ctx.crypto = &crypto;
     ctx.batch_size = 2;
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 0) {
-      pool = std::make_unique<ThreadPool>(threads);
-      ctx.pool = pool.get();
-    }
+    ThreadPool pool(threads);
+    MorselScheduler sched(&pool);
+    ctx.morsels = threads > 0 ? &sched : nullptr;
     Result<Table> t = ExecutePlan(plan_.get(), &ctx);
     EXPECT_TRUE(t.ok()) << t.status().ToString();
     return t.ok() ? std::move(t).value() : Table();
@@ -86,11 +84,9 @@ class ParallelExecTest : public ::testing::Test {
     SchemeMap schemes = AnalyzeSchemes(plan_.get(), ex_->catalog, SchemeCaps{});
     rt.SetCryptoPlan(MakeCryptoPlan(schemes, keys));
     rt.SetBatchSize(2);
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 0) {
-      pool = std::make_unique<ThreadPool>(threads);
-      rt.SetThreadPool(pool.get());
-    }
+    ThreadPool pool(threads);
+    MorselScheduler sched(&pool);
+    rt.SetScheduler(threads > 0 ? &sched : nullptr);
     Result<DistributedResult> r = rt.Run(ext, ex_->U);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return r.ok() ? std::move(r).value() : DistributedResult();
@@ -174,7 +170,8 @@ TEST_F(ParallelExecTest, DistributedParallelKeyEnforcementStillFails) {
   SchemeMap schemes = AnalyzeSchemes(plan_.get(), ex_->catalog, SchemeCaps{});
   rt.SetCryptoPlan(MakeCryptoPlan(schemes, keys));
   ThreadPool pool(4);
-  rt.SetThreadPool(&pool);
+  MorselScheduler sched(&pool);
+  rt.SetScheduler(&sched);
   rt.SetBatchSize(2);
   Result<DistributedResult> r = rt.Run(*ext, ex_->U);
   ASSERT_FALSE(r.ok());
@@ -200,11 +197,9 @@ TEST_F(ParallelExecTest, EncryptedOperatorsDeterministicUnderBatching) {
     ctx.dispatcher_keyring = &keyring_;
     ctx.crypto = &crypto;
     ctx.batch_size = 1;
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 0) {
-      pool = std::make_unique<ThreadPool>(threads);
-      ctx.pool = pool.get();
-    }
+    ThreadPool pool(threads);
+    MorselScheduler sched(&pool);
+    ctx.morsels = threads > 0 ? &sched : nullptr;
     Result<Table> t = ExecutePlan(plan.get(), &ctx);
     EXPECT_TRUE(t.ok()) << t.status().ToString();
     return t.ok() ? std::move(t).value() : Table();

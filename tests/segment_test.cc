@@ -14,9 +14,9 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "crypto/keyring.h"
 #include "exec/executor.h"
+#include "exec/morsel.h"
 #include "paper_example.h"
 #include "storage/segment.h"
 #include "testing/random_plan.h"
@@ -642,9 +642,12 @@ class SegmentExecTest : public ::testing::Test {
     ctx->catalog = &ex_->catalog;
     ctx->base_tables[ex_->hosp] = &hosp_;
     ctx->base_tables[ex_->ins] = &ins_;
-    ctx->pool = pool;
+    MorselScheduler sched(pool);
+    ctx->morsels = &sched;
     ctx->memory_budget = budget;
-    return ExecutePlan(p, ctx);
+    Result<Table> t = ExecutePlan(p, ctx);
+    ctx->morsels = nullptr;  // `sched` dies with this frame
+    return t;
   }
 
   std::unique_ptr<PaperExample> ex_;
@@ -836,7 +839,8 @@ TEST(SegmentDifferentialTest, SpilledRandomPlansMatchOracleAndInMemory) {
       ExecContext ctx;
       ctx.catalog = sc->catalog.get();
       for (const auto& [rel, t] : data) ctx.base_tables[rel] = &t;
-      ctx.pool = pool;
+      MorselScheduler sched(pool);
+      ctx.morsels = &sched;
       ctx.memory_budget = 1;
       Result<Table> spilled = ExecutePlan(sc->plan.get(), &ctx);
       ASSERT_TRUE(spilled.ok())

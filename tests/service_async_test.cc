@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -45,6 +46,21 @@ void ExpectTablesIdentical(const Table& a, const Table& b, const char* where) {
       ExpectCellsIdentical(a.row(r)[c], b.row(r)[c], where);
     }
   }
+}
+
+/// Polls until every handle is done or `limit` passes; returns whether all
+/// finished. Never calls Wait(): a waiter helps drain the pool, which can
+/// mask a stuck scheduler — and a hang must fail the test, not block it.
+bool AllDoneWithin(const std::vector<std::shared_ptr<AsyncQuery>>& queries,
+                   std::chrono::seconds limit) {
+  auto deadline = std::chrono::steady_clock::now() + limit;
+  for (const auto& q : queries) {
+    while (!q->Done()) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  return true;
 }
 
 constexpr const char* kPaperSql =
@@ -235,6 +251,159 @@ TEST_F(ServiceAsyncTest, ShedsAtQueueDepthCap) {
   EXPECT_EQ(m.sheds, 3u);
   EXPECT_EQ(m.async_queries, 2u);
   EXPECT_GE(m.queue_depth_peak, 2u);
+}
+
+TEST_F(ServiceAsyncTest, FullServiceBurstNeverLivelocks) {
+  // Every worker is also a slot holder (exec_threads == max_in_flight), and
+  // the paper query runs as a multi-fragment DAG whose drain loop inlines
+  // queued pool tasks. Submissions keep arriving while queries run, so they
+  // land on top of a slot holder's pending fragments in its LIFO deque. A
+  // task that finds the service full must park and free its thread:
+  // requeued instead, it is popped again and again while that holder's
+  // fragments starve beneath it, until no query completes.
+  ServiceConfig config;
+  config.exec_threads = 2;
+  config.max_in_flight = 2;
+  config.max_queue_depth = 16;
+  // 25 copies of every example row: each query then runs for a fraction of
+  // a millisecond, far longer than the gap between submissions, so the
+  // service stays full while they arrive.
+  const Table hosp = hosp_, ins = ins_;
+  for (int copy = 1; copy < 25; ++copy) {
+    for (size_t r = 0; r < hosp.num_rows(); ++r) hosp_.AddRow(hosp.row(r));
+    for (size_t r = 0; r < ins.num_rows(); ++r) ins_.AddRow(ins.row(r));
+  }
+  auto service = MakeService(config);
+  auto session = service->OpenSession(ex_->U);
+  ASSERT_TRUE(session.ok());
+  auto stmt = service->Prepare(kPaperSql);
+  ASSERT_TRUE(stmt.ok());
+  auto reference = service->Execute(*stmt, *session);
+  ASSERT_TRUE(reference.ok());
+
+  constexpr int kSubmissions = 400;
+  std::vector<std::shared_ptr<AsyncQuery>> queries;
+  for (int i = 0; i < kSubmissions; ++i) {
+    auto q = service->ExecuteAsync(*stmt, *session);
+    if (q.ok()) {
+      queries.push_back(*q);
+    } else {
+      ASSERT_EQ(q.status().code(), StatusCode::kUnavailable);  // shed
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+  }
+  ASSERT_FALSE(queries.empty());
+  if (!AllDoneWithin(queries, std::chrono::seconds(20))) {
+    size_t done = 0;
+    for (const auto& q : queries) done += q->Done() ? 1 : 0;
+    ADD_FAILURE() << "only " << done << " of " << queries.size()
+                  << " accepted async queries completed; the rest are stuck "
+                  << "behind a full service";
+    // Stuck workers still reference the service: leak it rather than
+    // block forever joining them.
+    (void)service.release();
+    return;
+  }
+  for (const auto& q : queries) {
+    const Result<QueryResponse>& r = q->Wait();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ExpectTablesIdentical(r->table, reference->table, "async under cap");
+  }
+  EXPECT_EQ(service->Metrics().async_queries, queries.size());
+}
+
+TEST_F(ServiceAsyncTest, CancelledParkedQueryReleasesItsSlot) {
+  // The only slot is held by a scan stopped in the shared-scan test hook,
+  // so an async query submitted meanwhile parks for admission. Cancelled
+  // there, it is still handed the slot once the holder finishes — and must
+  // pass it on, or the next query would wait forever.
+  ServiceConfig config;
+  config.exec_threads = 2;
+  config.max_in_flight = 1;
+  auto service = MakeService(config);
+  auto session = service->OpenSession(ex_->U);
+  ASSERT_TRUE(session.ok());
+  auto scan = service->Prepare("select D, T from Hosp where D = 'stroke'");
+  ASSERT_TRUE(scan.ok());
+  auto stmt = service->Prepare(kPaperSql);
+  ASSERT_TRUE(stmt.ok());
+  ASSERT_TRUE(service->Execute(*stmt, *session).ok());  // warm the cache
+  ServiceMetrics m0 = service->Metrics();
+
+  service->shared_scans()->HoldNewScansForTesting();
+  Result<QueryResponse> held = Status::Internal("unset");
+  std::thread holder([&] { held = service->Execute(*scan, *session); });
+  while (service->Metrics().scan_leads == m0.scan_leads) {
+    std::this_thread::yield();
+  }
+  auto parked = service->ExecuteAsync(*stmt, *session);
+  ASSERT_TRUE(parked.ok());
+  // Run queued tasks here too, so the async task has reached admission.
+  while (service->pool()->TryRunOneTask()) {
+  }
+  EXPECT_FALSE((*parked)->Done());
+  EXPECT_TRUE((*parked)->Cancel());
+  service->shared_scans()->ReleaseHeldScansForTesting();
+  holder.join();
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  EXPECT_EQ((*parked)->Wait().status().code(), StatusCode::kUnavailable);
+
+  // The cancelled query counts itself only after passing its slot on.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (service->Metrics().cancelled == m0.cancelled &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(service->Metrics().cancelled - m0.cancelled, 1u);
+  auto next = service->ExecuteAsync(*stmt, *session);
+  ASSERT_TRUE(next.ok());
+  ASSERT_TRUE(AllDoneWithin({*next}, std::chrono::seconds(20)))
+      << "the cancelled query kept the slot it was handed";
+  EXPECT_TRUE((*next)->Wait().ok());
+  EXPECT_EQ(service->Metrics().queries - m0.queries, 2u);  // holder, next
+}
+
+TEST_F(ServiceAsyncTest, ShutdownResolvesParkedQueries) {
+  // Destroying the service while queries are parked for admission must run
+  // or cancel every one of them: no handle may be left pending.
+  ServiceConfig config;
+  config.exec_threads = 2;
+  config.max_in_flight = 1;
+  config.max_queue_depth = 8;
+  auto service = MakeService(config);
+  auto session = service->OpenSession(ex_->U);
+  ASSERT_TRUE(session.ok());
+  auto scan = service->Prepare("select D, T from Hosp where D = 'stroke'");
+  ASSERT_TRUE(scan.ok());
+  auto stmt = service->Prepare(kPaperSql);
+  ASSERT_TRUE(stmt.ok());
+  ASSERT_TRUE(service->Execute(*stmt, *session).ok());  // warm the cache
+  ServiceMetrics m0 = service->Metrics();
+
+  service->shared_scans()->HoldNewScansForTesting();
+  std::vector<std::shared_ptr<AsyncQuery>> queries;
+  auto holder = service->ExecuteAsync(*scan, *session);
+  ASSERT_TRUE(holder.ok());
+  queries.push_back(*holder);
+  while (service->Metrics().scan_leads == m0.scan_leads) {
+    std::this_thread::yield();
+  }
+  for (int i = 0; i < 3; ++i) {
+    auto q = service->ExecuteAsync(*stmt, *session);
+    ASSERT_TRUE(q.ok());
+    queries.push_back(*q);
+  }
+  while (service->pool()->TryRunOneTask()) {
+  }
+  service->shared_scans()->ReleaseHeldScansForTesting();
+  service.reset();
+
+  for (const auto& q : queries) {
+    ASSERT_TRUE(q->Done());
+    const Result<QueryResponse>& r = q->Wait();
+    EXPECT_TRUE(r.ok() || r.status().code() == StatusCode::kUnavailable)
+        << r.status().ToString();
+  }
 }
 
 TEST_F(ServiceAsyncTest, SharedScanCoalescesConcurrentQueries) {

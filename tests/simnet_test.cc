@@ -173,10 +173,10 @@ class FaultMatrixTest : public ::testing::Test {
     ins_data_ = ex_->InsData();
   }
 
-  /// Runs the full optimize→execute pipeline against `net` with `pool`.
-  Result<FailoverOutcome> RunPipeline(SimNet* net, ThreadPool* pool) {
+  /// Runs the full optimize→execute pipeline against `net` on `sched`.
+  Result<FailoverOutcome> RunPipeline(SimNet* net, MorselScheduler* sched) {
     FailoverConfig cfg;
-    cfg.pool = pool;
+    cfg.morsels = sched;
     FailoverExecutor exec(&ex_->catalog, &ex_->subjects, ex_->policy.get(),
                           &prices_, &topo_, net, cfg);
     exec.LoadTable(ex_->hosp, &hosp_data_);
@@ -225,13 +225,14 @@ TEST_F(FaultMatrixTest, CrashAtEveryProviderStepRecoversIdentically) {
 
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     ThreadPool pool(threads == 1 ? 0 : threads);
+    MorselScheduler sched(&pool);
     for (const auto& [step, subject] : provider_steps) {
       SimNet net(&ex_->subjects);
       FaultPlan faults;
       faults.crash_at_step[subject] = step;
       net.SetFaultPlan(faults);
 
-      auto recovered = RunPipeline(&net, &pool);
+      auto recovered = RunPipeline(&net, &sched);
       ASSERT_TRUE(recovered.ok())
           << "threads=" << threads << " crash@" << step << " of "
           << ex_->subjects.Name(subject) << ": "

@@ -1,16 +1,13 @@
-// Tests for the work-stealing ThreadPool and deterministic ParallelFor.
+// Tests for the work-stealing ThreadPool.
 
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <mutex>
+#include <functional>
+#include <memory>
 #include <thread>
-#include <utility>
-#include <vector>
 
 namespace mpq {
 namespace {
@@ -54,80 +51,6 @@ TEST(ThreadPoolTest, SubmitFromWorkerThread) {
     if (!pool.TryRunOneTask()) std::this_thread::yield();
   }
   EXPECT_EQ(done.load(), 11);
-}
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  for (size_t workers : {size_t{0}, size_t{1}, size_t{4}}) {
-    ThreadPool pool(workers);
-    constexpr size_t kN = 10000;
-    std::vector<std::atomic<int>> hits(kN);
-    Status st = ParallelFor(&pool, kN, 64, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-      return Status::OK();
-    });
-    ASSERT_TRUE(st.ok());
-    for (size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "index " << i << " workers " << workers;
-    }
-  }
-}
-
-TEST(ParallelForTest, NullPoolRunsInline) {
-  size_t total = 0;
-  Status st = ParallelFor(nullptr, 100, 7, [&](size_t begin, size_t end) {
-    total += end - begin;
-    return Status::OK();
-  });
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(total, 100u);
-}
-
-TEST(ParallelForTest, ChunkBoundariesIndependentOfThreads) {
-  // Record the chunk partition at several pool sizes; all must agree.
-  std::vector<std::vector<std::pair<size_t, size_t>>> partitions;
-  for (size_t workers : {size_t{0}, size_t{2}, size_t{8}}) {
-    ThreadPool pool(workers);
-    std::mutex mu;
-    std::vector<std::pair<size_t, size_t>> chunks;
-    Status st = ParallelFor(&pool, 1000, 128, [&](size_t begin, size_t end) {
-      std::lock_guard<std::mutex> lock(mu);
-      chunks.emplace_back(begin, end);
-      return Status::OK();
-    });
-    ASSERT_TRUE(st.ok());
-    std::sort(chunks.begin(), chunks.end());
-    partitions.push_back(std::move(chunks));
-  }
-  EXPECT_EQ(partitions[0], partitions[1]);
-  EXPECT_EQ(partitions[1], partitions[2]);
-}
-
-TEST(ParallelForTest, ReportsLowestChunkError) {
-  ThreadPool pool(4);
-  Status st = ParallelFor(&pool, 1000, 10, [&](size_t begin, size_t) {
-    if (begin >= 500) {
-      return Status::Internal("chunk " + std::to_string(begin));
-    }
-    return Status::OK();
-  });
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInternal);
-  // Which chunks run after failure is racy, but the reported error is always
-  // the lowest failing chunk index.
-  EXPECT_EQ(st.message(), "chunk 500");
-}
-
-TEST(ParallelForTest, NestedParallelForDoesNotDeadlock) {
-  ThreadPool pool(2);
-  std::atomic<size_t> total{0};
-  Status st = ParallelFor(&pool, 8, 1, [&](size_t, size_t) {
-    return ParallelFor(&pool, 64, 8, [&](size_t begin, size_t end) {
-      total.fetch_add(end - begin);
-      return Status::OK();
-    });
-  });
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(total.load(), 8u * 64u);
 }
 
 TEST(ThreadPoolTest, DestructorRunsEveryAcceptedTask) {
@@ -176,31 +99,6 @@ TEST(ThreadPoolTest, SubmitDuringShutdownRunsOrRejectsCleanly) {
     pool.reset();
     EXPECT_EQ(executed.load(), accepted.load()) << "round " << round;
   }
-}
-
-TEST(ParallelForTest, WaitersHelpDrainQueuedTasks) {
-  // A single-worker pool saturated by a slow task: ParallelFor's caller must
-  // claim chunks itself instead of waiting for the busy worker.
-  ThreadPool pool(1);
-  std::atomic<bool> release{false};
-  std::atomic<bool> slow_done{false};
-  pool.Submit([&] {
-    while (!release.load()) std::this_thread::yield();
-    slow_done.store(true);
-  });
-  std::atomic<size_t> covered{0};
-  std::thread unblocker([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    release.store(true);
-  });
-  Status st = ParallelFor(&pool, 256, 16, [&](size_t begin, size_t end) {
-    covered.fetch_add(end - begin);
-    return Status::OK();
-  });
-  unblocker.join();
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(covered.load(), 256u);
-  while (!slow_done.load()) std::this_thread::yield();
 }
 
 }  // namespace
