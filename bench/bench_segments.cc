@@ -3,13 +3,13 @@
 // with and without zone-map segment skipping on shipdate-clustered
 // lineitem; (3) a budget-forced spill-to-disk join against the in-memory
 // hash join, verified bit-identical; (4) bytes-on-wire of the distributed
-// runtime with segment-compressed transfers vs the uncompressed v2 wire,
-// over random authorized scenarios (dictionary-heavy string columns).
+// runtime's segment-encoded transfers over random authorized scenarios
+// (dictionary-heavy string columns), verified against the row oracle.
 //
 // Emits BENCH_segments.json (override with --json <path>). The process
 // exits nonzero unless every differential verifies, string/dict columns
-// compress >= 2x, the spill run recursed through >= 2 partition
-// generations, and the compressed wire is measurably smaller.
+// compress >= 2x, and the spill run recursed through >= 2 partition
+// generations.
 
 #include <algorithm>
 #include <chrono>
@@ -327,11 +327,11 @@ int main(int argc, char** argv) {
 
   // ----------------------------------------------------- bytes on wire ---
   // Random authorized scenarios through the full distributed pipeline
-  // (SimNet transfers between assignees), with the segment wire encoding
-  // off vs on. String columns draw from a 6-value vocabulary, so
-  // dictionary pages dominate; both runs must match the plaintext oracle.
+  // (SimNet transfers between assignees, each a segment frame). String
+  // columns draw from a 6-value vocabulary, so dictionary pages dominate;
+  // every run must match the plaintext oracle.
   {
-    uint64_t wire_v2 = 0, wire_seg = 0;
+    uint64_t wire_seg = 0;
     size_t scenarios = 0;
     bool wire_verified = true;
     for (uint64_t seed = 1; seed <= 60 && scenarios < 12; ++seed) {
@@ -353,45 +353,29 @@ int main(int argc, char** argv) {
       for (const auto& [rel, t] : data) oracle.LoadTable(rel, &t);
       Result<Table> reference = oracle.Run(sc->plan.get());
       if (!reference.ok()) continue;
-      std::vector<std::string> oracle_rows = CanonicalRows(*reference);
 
-      auto run_wire = [&](bool compress) -> Result<FailoverOutcome> {
-        SimNet net(sc->subjects.get());
-        FailoverConfig cfg;
-        cfg.compress_wire = compress;
-        FailoverExecutor exec(sc->catalog.get(), sc->subjects.get(),
-                              sc->policy.get(), &prices, &topo, &net, cfg);
-        for (const auto& [rel, t] : data) exec.LoadTable(rel, &t);
-        return exec.Execute(sc->plan.get(), sc->user);
-      };
-      Result<FailoverOutcome> v2 = run_wire(false);
-      Result<FailoverOutcome> seg = run_wire(true);
-      if (!v2.ok() || !seg.ok()) continue;
-      if (v2->result.total_transfer_bytes == 0) continue;  // single-site
-      wire_verified = wire_verified &&
-                      CanonicalRows(v2->result.result) == oracle_rows &&
-                      CanonicalRows(seg->result.result) == oracle_rows;
-      wire_v2 += v2->result.total_transfer_bytes;
+      SimNet net(sc->subjects.get());
+      FailoverExecutor exec(sc->catalog.get(), sc->subjects.get(),
+                            sc->policy.get(), &prices, &topo, &net,
+                            FailoverConfig{});
+      for (const auto& [rel, t] : data) exec.LoadTable(rel, &t);
+      Result<FailoverOutcome> seg = exec.Execute(sc->plan.get(), sc->user);
+      if (!seg.ok()) continue;
+      if (seg->result.total_transfer_bytes == 0) continue;  // single-site
+      wire_verified = wire_verified && CanonicalRows(seg->result.result) ==
+                                           CanonicalRows(*reference);
       wire_seg += seg->result.total_transfer_bytes;
       scenarios++;
     }
-    double drop = wire_v2 > 0
-                      ? 1.0 - static_cast<double>(wire_seg) /
-                                  static_cast<double>(wire_v2)
-                      : 0.0;
-    bool wire_gate = wire_verified && scenarios > 0 && wire_seg < wire_v2;
+    bool wire_gate = wire_verified && scenarios > 0;
     ok = ok && wire_gate;
     std::printf(
-        "wire bytes over %zu distributed scenarios: v2 %llu B, "
-        "segment %llu B (%.1f%% drop)%s\n\n",
-        scenarios, static_cast<unsigned long long>(wire_v2),
-        static_cast<unsigned long long>(wire_seg), drop * 100.0,
+        "wire bytes over %zu distributed scenarios: segment %llu B%s\n\n",
+        scenarios, static_cast<unsigned long long>(wire_seg),
         wire_gate ? "" : "  GATE FAIL");
     w.Key("wire").BeginObject();
     w.Key("scenarios").UInt(scenarios);
-    w.Key("v2_bytes").UInt(wire_v2);
     w.Key("segment_bytes").UInt(wire_seg);
-    w.Key("drop").Double(drop);
     w.Key("verified").Bool(wire_verified);
     w.EndObject();
   }

@@ -60,7 +60,7 @@ std::string Value::Serialize() const {
   return out;
 }
 
-Result<Value> Value::Deserialize(const std::string& bytes) {
+Result<Value> Value::Deserialize(std::string_view bytes) {
   if (bytes.empty()) return Status::InvalidArgument("empty value bytes");
   char tag = bytes[0];
   switch (tag) {
@@ -81,7 +81,7 @@ Result<Value> Value::Deserialize(const std::string& bytes) {
       return Value(v);
     }
     case 'S':
-      return Value(bytes.substr(1));
+      return Value(std::string(bytes.substr(1)));
     default:
       return Status::InvalidArgument("unknown value tag");
   }

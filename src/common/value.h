@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "common/status.h"
@@ -55,7 +56,7 @@ class Value {
   std::string Serialize() const;
 
   /// Inverse of Serialize.
-  static Result<Value> Deserialize(const std::string& bytes);
+  static Result<Value> Deserialize(std::string_view bytes);
 
   /// Human-readable rendering.
   std::string ToString() const;

@@ -50,63 +50,71 @@ double EncSchemeCiphertextBytes(EncScheme s, double plain_bytes) {
 
 namespace {
 
-void Keystream(uint64_t key, uint64_t nonce, size_t len, std::string* out) {
-  out->resize(len);
+/// XORs `len` bytes of `in` with the keystream of (key, nonce) into `out`,
+/// eight bytes at a time: block i of the stream is the i-th SplitMix64 step
+/// from a state seeded by both, its bytes in memory order.
+void XorKeystream(uint64_t key, uint64_t nonce, const char* in, size_t len,
+                  char* out) {
   uint64_t state = SplitMix64(key ^ SplitMix64(nonce));
   size_t i = 0;
-  while (i < len) {
+  for (; i + 8 <= len; i += 8) {
     state = SplitMix64(state);
-    uint64_t block = state;
-    size_t chunk = std::min<size_t>(8, len - i);
-    std::memcpy(out->data() + i, &block, chunk);
-    i += chunk;
+    uint64_t w;
+    std::memcpy(&w, in + i, 8);
+    w ^= state;
+    std::memcpy(out + i, &w, 8);
+  }
+  if (i < len) {
+    state = SplitMix64(state);
+    uint64_t w = 0;
+    std::memcpy(&w, in + i, len - i);
+    w ^= state;
+    std::memcpy(out + i, &w, len - i);
   }
 }
 
-uint64_t PrfNonce(uint64_t key, const std::string& plaintext) {
+}  // namespace
+
+void SymEncryptTo(uint64_t key, uint64_t nonce, std::string_view plaintext,
+                  char* out) {
+  std::memcpy(out, &nonce, 8);
+  XorKeystream(key, nonce, plaintext.data(), plaintext.size(), out + 8);
+}
+
+std::string SymEncrypt(uint64_t key, uint64_t nonce,
+                       std::string_view plaintext) {
+  std::string out(8 + plaintext.size(), '\0');
+  SymEncryptTo(key, nonce, plaintext, out.data());
+  return out;
+}
+
+uint64_t DetNonce(uint64_t key, std::string_view plaintext) {
   uint64_t h = SplitMix64(key ^ 0xdeadbeefcafef00dull);
   for (unsigned char c : plaintext) h = SplitMix64(h ^ c);
   return h;
 }
 
-}  // namespace
-
-std::string SymEncrypt(uint64_t key, uint64_t nonce,
-                       const std::string& plaintext) {
-  std::string out;
-  out.resize(8 + plaintext.size());
-  std::memcpy(out.data(), &nonce, 8);
-  std::string ks;
-  Keystream(key, nonce, plaintext.size(), &ks);
-  for (size_t i = 0; i < plaintext.size(); ++i) {
-    out[8 + i] = static_cast<char>(plaintext[i] ^ ks[i]);
-  }
-  return out;
-}
-
-std::string DetEncrypt(uint64_t key, const std::string& plaintext) {
-  return SymEncrypt(key, PrfNonce(key, plaintext), plaintext);
+std::string DetEncrypt(uint64_t key, std::string_view plaintext) {
+  return SymEncrypt(key, DetNonce(key, plaintext), plaintext);
 }
 
 std::string RndEncrypt(uint64_t key, uint64_t fresh_nonce,
-                       const std::string& plaintext) {
+                       std::string_view plaintext) {
   return SymEncrypt(key, fresh_nonce, plaintext);
 }
 
-Result<std::string> SymDecrypt(uint64_t key, const std::string& ciphertext) {
+void SymDecryptTo(uint64_t key, std::string_view ciphertext, char* out) {
+  uint64_t nonce;
+  std::memcpy(&nonce, ciphertext.data(), 8);
+  XorKeystream(key, nonce, ciphertext.data() + 8, ciphertext.size() - 8, out);
+}
+
+Result<std::string> SymDecrypt(uint64_t key, std::string_view ciphertext) {
   if (ciphertext.size() < 8) {
     return Status::InvalidArgument("ciphertext too short");
   }
-  uint64_t nonce;
-  std::memcpy(&nonce, ciphertext.data(), 8);
-  size_t len = ciphertext.size() - 8;
-  std::string ks;
-  Keystream(key, nonce, len, &ks);
-  std::string out;
-  out.resize(len);
-  for (size_t i = 0; i < len; ++i) {
-    out[i] = static_cast<char>(ciphertext[8 + i] ^ ks[i]);
-  }
+  std::string out(ciphertext.size() - 8, '\0');
+  SymDecryptTo(key, ciphertext, out.data());
   return out;
 }
 

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 
@@ -22,17 +23,28 @@ namespace mpq {
 /// randomized encryption, or PRF-derived for deterministic encryption.
 /// Layout: 8-byte little-endian nonce, then the XOR-masked plaintext.
 std::string SymEncrypt(uint64_t key, uint64_t nonce,
-                       const std::string& plaintext);
+                       std::string_view plaintext);
 
-/// Deterministic encryption: nonce = PRF(key, plaintext).
-std::string DetEncrypt(uint64_t key, const std::string& plaintext);
+/// SymEncrypt written to `out`, which holds 8 + plaintext.size() bytes.
+void SymEncryptTo(uint64_t key, uint64_t nonce, std::string_view plaintext,
+                  char* out);
+
+/// The deterministic-mode nonce: a PRF of (key, plaintext).
+uint64_t DetNonce(uint64_t key, std::string_view plaintext);
+
+/// Deterministic encryption: nonce = DetNonce(key, plaintext).
+std::string DetEncrypt(uint64_t key, std::string_view plaintext);
 
 /// Randomized encryption with caller-provided nonce source.
 std::string RndEncrypt(uint64_t key, uint64_t fresh_nonce,
-                       const std::string& plaintext);
+                       std::string_view plaintext);
 
 /// Inverts SymEncrypt/DetEncrypt/RndEncrypt.
-Result<std::string> SymDecrypt(uint64_t key, const std::string& ciphertext);
+Result<std::string> SymDecrypt(uint64_t key, std::string_view ciphertext);
+
+/// SymDecrypt written to `out`, which holds ciphertext.size() - 8 bytes.
+/// Precondition: ciphertext.size() >= 8.
+void SymDecryptTo(uint64_t key, std::string_view ciphertext, char* out);
 
 }  // namespace mpq
 

@@ -41,23 +41,32 @@ class ColumnCodec {
   /// True when the codec holds full key material (can encrypt/decrypt).
   bool has_material() const { return has_material_; }
 
-  /// Encrypts plaintext rows [begin, end) of `src` under `scheme`, writing
-  /// the `end - begin` ciphertexts to `out[0..)`. Row r draws nonce
-  /// `nonce_base + r` (absolute row index), so spans may be encrypted in
-  /// any batch partition — including concurrently, the method is const and
-  /// thread-safe — without changing a single output bit.
+  /// Sizes the ciphertext column encrypting every row of `src` under
+  /// `scheme` produces: an arena of src.size() rows under (scheme, key id)
+  /// whose blob lengths follow from the plaintexts alone, for EncryptSpan
+  /// to fill in place. Fails when the blobs exceed EncArena::kMaxBytes.
+  Result<EncArena> SizeEncrypt(const ColumnData& src, EncScheme scheme) const;
+
+  /// Encrypts plaintext rows [begin, end) of `src` under `scheme` straight
+  /// into rows [begin, end) of `out`, an arena SizeEncrypt sized for `src`
+  /// — the bytes EncryptValue produces. Row r draws nonce `nonce_base + r`
+  /// (absolute row index), so spans may be encrypted in any batch
+  /// partition — including concurrently, the method is const and spans
+  /// fill disjoint bytes — without changing a single output bit.
   Status EncryptSpan(const ColumnData& src, size_t begin, size_t end,
                      EncScheme scheme, uint64_t nonce_base,
-                     EncValue* out) const;
+                     EncArena* out) const;
 
-  /// Decrypts rows [begin, end) of `src` into `out[0..end - begin)`: NULL
-  /// rows become null cells, plaintext rows pass through untouched,
-  /// ciphertext rows decrypt with `type` guiding numeric decoding. When
+  /// Decrypts rows [begin, end) of `src`, appending the plaintexts to
+  /// `out`: NULL rows append NULL, plaintext rows pass through untouched,
+  /// ciphertext rows decrypt with `type` guiding numeric decoding. Typed
+  /// values land in `out`'s typed vector and null mask, with no Cell per
+  /// row; `out` falls back to kCell only when the values mix types. When
   /// `hom_avg` is set the ciphertexts hold Paillier sums whose `aux`
-  /// counter is the divisor, and the plaintext written is the divided
+  /// counter is the divisor, and the plaintext appended is the divided
   /// double. Const and thread-safe.
   Status DecryptSpan(const ColumnData& src, size_t begin, size_t end,
-                     DataType type, bool hom_avg, Cell* out) const;
+                     DataType type, bool hom_avg, ColumnData* out) const;
 
   /// Eager pairwise homomorphic addition: == PaillierAdd on the public n.
   /// Const and thread-safe.

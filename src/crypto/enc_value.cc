@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "crypto/cipher.h"
 #include "crypto/ope.h"
@@ -25,51 +26,75 @@ std::string EncValue::ToString() const {
   return out;
 }
 
+void EncryptSerializedTo(EncScheme scheme, const KeyMaterial& keys,
+                         uint64_t fresh_nonce, std::string_view ser,
+                         char* out) {
+  uint64_t nonce = scheme == EncScheme::kDeterministic
+                       ? DetNonce(keys.sym, ser)
+                       : fresh_nonce;
+  SymEncryptTo(keys.sym, nonce, ser, out);
+}
+
+Status EncryptNumericTo(EncScheme scheme, const KeyMaterial& keys,
+                        uint64_t fresh_nonce, const Value& v, char* out) {
+  if (!v.is_int() && !v.is_double()) {
+    return Status::Unsupported(scheme == EncScheme::kOpe
+                                   ? "OPE supports numeric values only"
+                                   : "Paillier supports numeric values only");
+  }
+  // Doubles travel as fixed-point integers under both schemes.
+  int64_t m = v.is_int() ? v.AsInt()
+                         : static_cast<int64_t>(std::llround(
+                               v.AsDouble() *
+                               static_cast<double>(kFixedPointScale)));
+  if (scheme == EncScheme::kOpe) {
+    OpeEncryptIntTo(keys.ope, m, out);
+    return Status::OK();
+  }
+  uint64_t encoded = PaillierEncodeSigned(keys.paillier, m);
+  uint128 c = keys.hom_precomp != nullptr && keys.hom_precomp->valid()
+                  ? keys.hom_precomp->Encrypt(encoded, fresh_nonce | 1)
+                  : PaillierEncrypt(keys.paillier, encoded, fresh_nonce | 1);
+  std::memcpy(out, &c, 16);  // PaillierCipherToBytes' layout
+  return Status::OK();
+}
+
 Result<EncValue> EncryptValue(const Value& v, EncScheme scheme, uint64_t key_id,
                               const KeyMaterial& keys, uint64_t fresh_nonce) {
   EncValue ev;
   ev.scheme = scheme;
   ev.key_id = key_id;
-  switch (scheme) {
-    case EncScheme::kRandom:
-      ev.blob = RndEncrypt(keys.sym, fresh_nonce, v.Serialize());
-      return ev;
-    case EncScheme::kDeterministic:
-      ev.blob = DetEncrypt(keys.sym, v.Serialize());
-      return ev;
-    case EncScheme::kOpe: {
-      MPQ_ASSIGN_OR_RETURN(ev.blob, OpeEncryptValue(keys.ope, v));
-      return ev;
-    }
-    case EncScheme::kPaillier: {
-      int64_t m;
-      if (v.is_int()) {
-        m = v.AsInt();
-      } else if (v.is_double()) {
-        m = static_cast<int64_t>(
-            std::llround(v.AsDouble() * static_cast<double>(kFixedPointScale)));
-      } else {
-        return Status::Unsupported("Paillier supports numeric values only");
-      }
-      uint64_t encoded = PaillierEncodeSigned(keys.paillier, m);
-      uint128 c = keys.hom_precomp != nullptr && keys.hom_precomp->valid()
-                      ? keys.hom_precomp->Encrypt(encoded, fresh_nonce | 1)
-                      : PaillierEncrypt(keys.paillier, encoded,
-                                        fresh_nonce | 1);
-      ev.blob = PaillierCipherToBytes(c);
-      return ev;
-    }
+  if (scheme == EncScheme::kRandom || scheme == EncScheme::kDeterministic) {
+    std::string ser = v.Serialize();
+    ev.blob.resize(CiphertextSize(scheme, ser.size()));
+    EncryptSerializedTo(scheme, keys, fresh_nonce, ser, ev.blob.data());
+    return ev;
   }
-  return Status::Internal("unreachable scheme");
+  ev.blob.resize(CiphertextSize(scheme, 0));
+  MPQ_RETURN_NOT_OK(
+      EncryptNumericTo(scheme, keys, fresh_nonce, v, ev.blob.data()));
+  return ev;
 }
 
-Result<Value> DecryptValue(const EncValue& ev, const KeyMaterial& keys,
+Result<Value> DecryptValue(EncView ev, const KeyMaterial& keys,
                            DataType type) {
   switch (ev.scheme) {
     case EncScheme::kRandom:
     case EncScheme::kDeterministic: {
-      MPQ_ASSIGN_OR_RETURN(std::string plain, SymDecrypt(keys.sym, ev.blob));
-      return Value::Deserialize(plain);
+      if (ev.blob.size() < 8) {
+        return Status::InvalidArgument("ciphertext too short");
+      }
+      // Numeric plaintexts serialize to 9 bytes: decrypt them on the stack.
+      size_t len = ev.blob.size() - 8;
+      char small[16];
+      std::string large;
+      char* plain = small;
+      if (len > sizeof(small)) {
+        large.resize(len);
+        plain = large.data();
+      }
+      SymDecryptTo(keys.sym, ev.blob, plain);
+      return Value::Deserialize(std::string_view(plain, len));
     }
     case EncScheme::kOpe:
       return OpeDecryptValue(keys.ope, ev.blob, type);
@@ -90,29 +115,20 @@ Result<Value> DecryptValue(const EncValue& ev, const KeyMaterial& keys,
   return Status::Internal("unreachable scheme");
 }
 
-Result<bool> CompareCells(CmpOp op, const Cell& a, const Cell& b) {
-  if (a.is_plain() && b.is_plain()) {
-    return EvalCmp(op, a.plain(), b.plain());
-  }
-  if (a.is_plain() != b.is_plain()) {
-    return Status::Unsupported(
-        "cannot compare a plaintext cell with an encrypted cell");
-  }
-  const EncValue& ea = a.enc();
-  const EncValue& eb = b.enc();
-  if (ea.scheme != eb.scheme || ea.key_id != eb.key_id) {
+Result<bool> CompareEnc(CmpOp op, EncView a, EncView b) {
+  if (a.key() != b.key()) {
     return Status::Unsupported(
         "cannot compare ciphertexts under different schemes or keys");
   }
-  switch (ea.scheme) {
+  switch (a.scheme) {
     case EncScheme::kDeterministic: {
-      if (op == CmpOp::kEq) return ea.blob == eb.blob;
-      if (op == CmpOp::kNe) return ea.blob != eb.blob;
+      if (op == CmpOp::kEq) return a.blob == b.blob;
+      if (op == CmpOp::kNe) return a.blob != b.blob;
       return Status::Unsupported(
           "deterministic ciphertexts support only equality comparison");
     }
     case EncScheme::kOpe: {
-      int c = ea.blob.compare(eb.blob);
+      int c = a.blob.compare(b.blob);
       switch (op) {
         case CmpOp::kEq:
           return c == 0;
@@ -135,6 +151,17 @@ Result<bool> CompareCells(CmpOp op, const Cell& a, const Cell& b) {
       return Status::Unsupported("Paillier ciphertexts are not comparable");
   }
   return Status::Internal("unreachable scheme");
+}
+
+Result<bool> CompareCells(CmpOp op, const Cell& a, const Cell& b) {
+  if (a.is_plain() && b.is_plain()) {
+    return EvalCmp(op, a.plain(), b.plain());
+  }
+  if (a.is_plain() != b.is_plain()) {
+    return Status::Unsupported(
+        "cannot compare a plaintext cell with an encrypted cell");
+  }
+  return CompareEnc(op, a.enc(), b.enc());
 }
 
 Result<std::string> CellGroupKey(const Cell& c) {

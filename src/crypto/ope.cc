@@ -15,17 +15,14 @@ uint16_t Prf16(uint64_t key, int64_t x) {
       SplitMix64(key ^ SplitMix64(static_cast<uint64_t>(x))) & 0xffff);
 }
 
-std::string ToBigEndian(uint128 v) {
-  std::string out;
-  out.resize(16);
+void ToBigEndian(uint128 v, char* out) {
   for (int i = 15; i >= 0; --i) {
-    out[static_cast<size_t>(i)] = static_cast<char>(v & 0xff);
+    out[i] = static_cast<char>(v & 0xff);
     v >>= 8;
   }
-  return out;
 }
 
-uint128 FromBigEndian(const std::string& bytes) {
+uint128 FromBigEndian(std::string_view bytes) {
   uint128 v = 0;
   for (char c : bytes) {
     v = (v << 8) | static_cast<unsigned char>(c);
@@ -35,14 +32,20 @@ uint128 FromBigEndian(const std::string& bytes) {
 
 }  // namespace
 
-std::string OpeEncryptInt(uint64_t key, int64_t x) {
+void OpeEncryptIntTo(uint64_t key, int64_t x, char* out) {
   // Shift to an unsigned, order-preserving offset.
   uint64_t offset = static_cast<uint64_t>(x) ^ (uint64_t{1} << 63);
   uint128 y = (static_cast<uint128>(offset) << 16) | Prf16(key, x);
-  return ToBigEndian(y);
+  ToBigEndian(y, out);
 }
 
-Result<int64_t> OpeDecryptInt(uint64_t key, const std::string& ct) {
+std::string OpeEncryptInt(uint64_t key, int64_t x) {
+  std::string out(16, '\0');
+  OpeEncryptIntTo(key, x, out.data());
+  return out;
+}
+
+Result<int64_t> OpeDecryptInt(uint64_t key, std::string_view ct) {
   if (ct.size() != 16) {
     return Status::InvalidArgument("bad OPE ciphertext size");
   }
@@ -65,7 +68,7 @@ Result<std::string> OpeEncryptValue(uint64_t key, const Value& v) {
   return Status::Unsupported("OPE supports numeric values only");
 }
 
-Result<Value> OpeDecryptValue(uint64_t key, const std::string& ct,
+Result<Value> OpeDecryptValue(uint64_t key, std::string_view ct,
                               DataType type) {
   MPQ_ASSIGN_OR_RETURN(int64_t x, OpeDecryptInt(key, ct));
   switch (type) {

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "common/value.h"
@@ -26,14 +27,17 @@ inline constexpr int64_t kFixedPointScale = 10000;
 /// lexicographic order equals the plaintext numeric order.
 std::string OpeEncryptInt(uint64_t key, int64_t x);
 
+/// OpeEncryptInt written to `out`, which holds 16 bytes.
+void OpeEncryptIntTo(uint64_t key, int64_t x, char* out);
+
 /// Inverts OpeEncryptInt.
-Result<int64_t> OpeDecryptInt(uint64_t key, const std::string& ct);
+Result<int64_t> OpeDecryptInt(uint64_t key, std::string_view ct);
 
 /// Encrypts a numeric Value (int64 or double via fixed-point).
 Result<std::string> OpeEncryptValue(uint64_t key, const Value& v);
 
 /// Decrypts to a Value of the given type.
-Result<Value> OpeDecryptValue(uint64_t key, const std::string& ct,
+Result<Value> OpeDecryptValue(uint64_t key, std::string_view ct,
                               DataType type);
 
 }  // namespace mpq

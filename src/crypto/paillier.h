@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -51,9 +52,10 @@ uint64_t PaillierEncodeSigned(const PaillierKey& key, int64_t v);
 /// Inverse of PaillierEncodeSigned.
 int64_t PaillierDecodeSigned(const PaillierKey& key, uint64_t m);
 
-/// Serializes a ciphertext to 16 little-endian bytes (and back).
+/// Serializes a ciphertext to 16 little-endian bytes (and back). Parsing
+/// rejects any blob that is not exactly 16 bytes long.
 std::string PaillierCipherToBytes(uint128 c);
-Result<uint128> PaillierCipherFromBytes(const std::string& bytes);
+Result<uint128> PaillierCipherFromBytes(std::string_view bytes);
 
 // ------------------------------------------------------------ fast paths ---
 //

@@ -33,7 +33,89 @@ ColumnRep RepForType(DataType type) {
   return ColumnRep::kCell;
 }
 
-void ColumnData::Reserve(size_t n) {
+EncArena EncArena::Sized(EncKey key, std::vector<uint32_t> off) {
+  assert(!off.empty() && off[0] == 0);
+  EncArena a;
+  a.bytes_.resize(off.back());
+  a.off_ = std::move(off);
+  a.keyed_ = a.size() > 0;
+  a.key_ = key;
+  return a;
+}
+
+void EncArena::Reserve(size_t rows, size_t bytes) {
+  off_.reserve(rows + 1);
+  bytes_.reserve(bytes);
+}
+
+void EncArena::Clear() { *this = EncArena(); }
+
+void EncArena::Push(EncView ev) {
+  assert(Fits(ev.blob.size()));
+  EncKey k = ev.key();
+  if (!keyed_) {
+    key_ = k;
+    keyed_ = true;
+  }
+  // Per-row vectors start at the first row that departs from the default.
+  if (!keys_.empty() || k != key_) {
+    if (keys_.empty()) keys_.assign(size(), key_);
+    keys_.push_back(k);
+  }
+  if (!aux_.empty() || ev.aux != 1) {
+    if (aux_.empty()) aux_.assign(size(), 1);
+    aux_.push_back(ev.aux);
+  }
+  if (off_.empty()) off_.push_back(0);
+  bytes_.append(ev.blob.data(), ev.blob.size());
+  off_.push_back(static_cast<uint32_t>(bytes_.size()));
+}
+
+void EncArena::PushNull() {
+  if (!keys_.empty()) keys_.push_back(key_);
+  if (!aux_.empty()) aux_.push_back(1);
+  if (off_.empty()) off_.push_back(0);
+  off_.push_back(off_.back());
+}
+
+template <typename Rows>
+bool EncArena::AppendRows(const EncArena& src,
+                          const std::vector<uint8_t>& src_nulls, size_t n,
+                          Rows rows) {
+  size_t total = 0;
+  for (size_t k = 0; k < n; ++k) {
+    size_t i = rows(k);
+    total += src.off_[i + 1] - src.off_[i];
+  }
+  if (!Fits(total)) return false;
+  // Grow geometrically, so a column built by many appends stays linear.
+  size_t need = bytes_.size() + total;
+  if (need > bytes_.capacity()) {
+    bytes_.reserve(std::max(need, 2 * bytes_.capacity()));
+  }
+  for (size_t k = 0; k < n; ++k) {
+    size_t i = rows(k);
+    if (!src_nulls.empty() && src_nulls[i] != 0) {
+      PushNull();
+    } else {
+      Push(src.At(i));
+    }
+  }
+  return true;
+}
+
+bool EncArena::operator==(const EncArena& o) const {
+  if (size() != o.size()) return false;
+  for (size_t i = 0; i < size(); ++i) {
+    if (KeyAt(i) != o.KeyAt(i) || blob(i) != o.blob(i) ||
+        AuxAt(i) != o.AuxAt(i)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void ColumnData::Reserve(size_t n, size_t enc_bytes) {
   switch (rep_) {
     case ColumnRep::kInt64:
       i64_.reserve(n);
@@ -45,7 +127,7 @@ void ColumnData::Reserve(size_t n) {
       str_.reserve(n);
       break;
     case ColumnRep::kEnc:
-      enc_.reserve(n);
+      enc_.Reserve(n, enc_bytes);
       break;
     case ColumnRep::kCell:
       cells_.reserve(n);
@@ -57,7 +139,7 @@ void ColumnData::Clear() {
   i64_.clear();
   f64_.clear();
   str_.clear();
-  enc_.clear();
+  enc_.Clear();
   cells_.clear();
   nulls_.clear();
   size_ = 0;
@@ -99,8 +181,7 @@ void ColumnData::Adopt(std::vector<std::string> vals,
   str_ = std::move(vals);
 }
 
-void ColumnData::Adopt(std::vector<EncValue> vals,
-                       std::vector<uint8_t> nulls) {
+void ColumnData::Adopt(EncArena vals, std::vector<uint8_t> nulls) {
   ResetForAdopt(ColumnRep::kEnc, vals.size(), std::move(nulls));
   enc_ = std::move(vals);
 }
@@ -119,7 +200,7 @@ void ColumnData::DemoteToCells() {
   i64_.clear();
   f64_.clear();
   str_.clear();
-  enc_.clear();
+  enc_.Clear();
   nulls_.clear();
   rep_ = ColumnRep::kCell;
 }
@@ -144,7 +225,7 @@ void ColumnData::AppendNull() {
       str_.emplace_back();
       break;
     case ColumnRep::kEnc:
-      enc_.emplace_back();
+      enc_.PushNull();
       break;
     case ColumnRep::kCell:
       break;  // handled above
@@ -195,12 +276,20 @@ void ColumnData::AppendValue(Value v) {
   size_++;
 }
 
+void ColumnData::AppendEnc(EncView ev) {
+  if (rep_ == ColumnRep::kEnc && enc_.Fits(ev.blob.size())) {
+    enc_.Push(ev);
+    GrowNulls(1);
+    size_++;
+    return;
+  }
+  Append(Cell(ev.ToValue()));
+}
+
 void ColumnData::Append(Cell c) {
   if (c.is_encrypted()) {
-    if (rep_ == ColumnRep::kEnc) {
-      enc_.push_back(std::move(c.enc_mut()));
-      GrowNulls(1);
-      size_++;
+    if (rep_ == ColumnRep::kEnc && enc_.Fits(c.enc().blob.size())) {
+      AppendEnc(c.enc());
       return;
     }
     if (rep_ != ColumnRep::kCell) DemoteToCells();
@@ -227,7 +316,7 @@ Cell ColumnData::GetCell(size_t i) const {
     case ColumnRep::kString:
       return Cell(Value(str_[i]));
     case ColumnRep::kEnc:
-      return Cell(enc_[i]);
+      return Cell(enc_.At(i).ToValue());
     case ColumnRep::kCell:
       return cells_[i];
   }
@@ -266,8 +355,8 @@ void ColumnData::AppendFrom(const ColumnData& src, size_t i) {
         str_.push_back(src.str_[i]);
         break;
       case ColumnRep::kEnc:
-        enc_.push_back(src.enc_[i]);
-        break;
+        AppendEnc(src.enc_.At(i));
+        return;
       case ColumnRep::kCell:
         cells_.push_back(src.cells_[i]);
         size_++;
@@ -297,8 +386,11 @@ void ColumnData::AppendRange(const ColumnData& src, size_t begin, size_t end) {
                     src.str_.begin() + static_cast<long>(end));
         break;
       case ColumnRep::kEnc:
-        enc_.insert(enc_.end(), src.enc_.begin() + static_cast<long>(begin),
-                    src.enc_.begin() + static_cast<long>(end));
+        if (!enc_.AppendRows(src.enc_, src.nulls_, n,
+                             [begin](size_t k) { return begin + k; })) {
+          for (size_t i = begin; i < end; ++i) Append(src.GetCell(i));
+          return;
+        }
         break;
       case ColumnRep::kCell:
         cells_.insert(cells_.end(),
@@ -346,7 +438,11 @@ void ColumnData::AppendSelected(const ColumnData& src, const uint32_t* sel,
         for (size_t k = 0; k < n; ++k) str_.push_back(src.str_[sel[k]]);
         break;
       case ColumnRep::kEnc:
-        for (size_t k = 0; k < n; ++k) enc_.push_back(src.enc_[sel[k]]);
+        if (!enc_.AppendRows(src.enc_, src.nulls_, n,
+                             [sel](size_t k) { return sel[k]; })) {
+          for (size_t k = 0; k < n; ++k) Append(src.GetCell(sel[k]));
+          return;
+        }
         break;
       case ColumnRep::kCell:
         for (size_t k = 0; k < n; ++k) cells_.push_back(src.cells_[sel[k]]);
@@ -390,8 +486,12 @@ void ColumnData::MoveAppend(ColumnData&& src) {
                     std::make_move_iterator(src.str_.end()));
         break;
       case ColumnRep::kEnc:
-        enc_.insert(enc_.end(), std::make_move_iterator(src.enc_.begin()),
-                    std::make_move_iterator(src.enc_.end()));
+        if (!enc_.AppendRows(src.enc_, src.nulls_, n,
+                             [](size_t k) { return k; })) {
+          for (size_t i = 0; i < n; ++i) Append(src.GetCell(i));
+          src.Clear();
+          return;
+        }
         break;
       case ColumnRep::kCell:
         cells_.insert(cells_.end(),
@@ -431,11 +531,12 @@ uint64_t ColumnData::ByteSize() const {
         total += IsNull(i) ? 1 : str_[i].size() + 4;
       }
       return total;
-    case ColumnRep::kEnc:
-      for (size_t i = 0; i < size_; ++i) {
-        total += IsNull(i) ? 1 : enc_[i].ByteSize();
-      }
-      return total;
+    case ColumnRep::kEnc: {
+      // Null slots hold empty blobs: blobs + 8 per ciphertext + 1 per NULL.
+      size_t nulls = 0;
+      for (size_t i = 0; i < size_ && has_nulls(); ++i) nulls += IsNull(i);
+      return enc_.bytes() + 8 * (size_ - nulls) + nulls;
+    }
     case ColumnRep::kCell:
       for (const Cell& c : cells_) total += c.ByteSize();
       return total;
@@ -467,9 +568,29 @@ ColumnData ColumnFromCells(std::vector<Cell> cells) {
   return out;
 }
 
-ColumnData ColumnFromEnc(std::vector<EncValue> encs) {
-  ColumnData out;
-  out.Adopt(std::move(encs));
+ColumnData ColumnFromEnc(const std::vector<EncValue>& encs) {
+  ColumnData out(ColumnRep::kEnc);
+  for (const EncValue& ev : encs) out.AppendEnc(ev);
+  return out;
+}
+
+ColumnData ConcatColumns(std::vector<ColumnData> parts) {
+  if (parts.empty()) return ColumnData();
+  ColumnData out = std::move(parts[0]);
+  for (size_t k = 1; k < parts.size(); ++k) {
+    out.MoveAppend(std::move(parts[k]));
+  }
+  // ColumnFromCells takes the rep of the first non-null cell, or kCell when
+  // there is none; a column whose parts demoted, or that holds no non-null
+  // row, is rebuilt from its cells to match.
+  bool any_value = false;
+  for (size_t i = 0; i < out.size() && !any_value; ++i) {
+    any_value = !out.IsNull(i);
+  }
+  if (out.rep() == ColumnRep::kCell || !any_value) {
+    out.DemoteToCells();
+    return ColumnFromCells(std::move(out.cells()));
+  }
   return out;
 }
 
@@ -480,8 +601,8 @@ Status KeyUnsupported() {
       "RND/HOM ciphertexts cannot serve as grouping or join keys");
 }
 
-bool KeyableEnc(const EncValue& ev) {
-  return ev.scheme == EncScheme::kDeterministic || ev.scheme == EncScheme::kOpe;
+bool KeyableEnc(EncKey k) {
+  return k.scheme == EncScheme::kDeterministic || k.scheme == EncScheme::kOpe;
 }
 
 }  // namespace
@@ -507,17 +628,17 @@ Status ColumnDict::EncodeRange(size_t begin, size_t end, uint32_t* codes) {
     return Status::OK();
   }
   if (c.rep() == ColumnRep::kEnc) {
-    const std::vector<EncValue>& vals = c.enc();
+    const EncArena& vals = c.enc();
     for (size_t r = begin; r < end; ++r) {
       if (c.IsNull(r)) {
         codes[r - begin] = 0;
         continue;
       }
-      const EncValue& ev = vals[r];
-      if (!KeyableEnc(ev)) return KeyUnsupported();
+      if (!KeyableEnc(vals.KeyAt(r))) return KeyUnsupported();
+      std::string_view blob = vals.blob(r);
       codes[r - begin] = index_.FindOrInsert(
-          HashBytes(ev.blob.data(), ev.blob.size()),
-          [&](uint32_t id) { return vals[rep_rows_[id]].blob == ev.blob; },
+          HashBytes(blob.data(), blob.size()),
+          [&](uint32_t id) { return vals.blob(rep_rows_[id]) == blob; },
           [&] {
             rep_rows_.push_back(static_cast<uint32_t>(r));
             return static_cast<uint32_t>(rep_rows_.size() - 1);
@@ -549,18 +670,18 @@ Status ColumnDict::ProbeRange(const ColumnData& probe, size_t begin,
     return Status::OK();
   }
   if (probe.rep() == ColumnRep::kEnc) {
-    const std::vector<EncValue>& own = col_->enc();
-    const std::vector<EncValue>& vals = probe.enc();
+    const EncArena& own = col_->enc();
+    const EncArena& vals = probe.enc();
     for (size_t r = begin; r < end; ++r) {
       if (probe.IsNull(r)) {
         codes[r - begin] = 0;
         continue;
       }
-      const EncValue& ev = vals[r];
-      if (!KeyableEnc(ev)) return KeyUnsupported();
+      if (!KeyableEnc(vals.KeyAt(r))) return KeyUnsupported();
+      std::string_view blob = vals.blob(r);
       codes[r - begin] = index_.Find(
-          HashBytes(ev.blob.data(), ev.blob.size()),
-          [&](uint32_t id) { return own[rep_rows_[id]].blob == ev.blob; });
+          HashBytes(blob.data(), blob.size()),
+          [&](uint32_t id) { return own.blob(rep_rows_[id]) == blob; });
     }
     return Status::OK();
   }
@@ -590,14 +711,10 @@ Status AppendKeyBytes(const ColumnData& col, size_t r, std::string* out) {
       out->append(col.str()[r]);
       return Status::OK();
     case ColumnRep::kEnc: {
-      const EncValue& ev = col.enc()[r];
-      if (ev.scheme == EncScheme::kDeterministic ||
-          ev.scheme == EncScheme::kOpe) {
-        out->append(ev.blob);
-        return Status::OK();
-      }
-      return Status::Unsupported(
-          "RND/HOM ciphertexts cannot serve as grouping or join keys");
+      if (!KeyableEnc(col.enc().KeyAt(r))) return KeyUnsupported();
+      std::string_view blob = col.enc().blob(r);
+      out->append(blob.data(), blob.size());
+      return Status::OK();
     }
     case ColumnRep::kCell: {
       MPQ_ASSIGN_OR_RETURN(std::string k, CellGroupKey(col.cells()[r]));

@@ -1,9 +1,9 @@
 // Typed columnar storage: one ColumnData holds every cell of one column of
-// an executing relation as a contiguous typed vector (int64/double/string/
-// EncValue) plus an optional null mask, with a row-of-Cells fallback for the
-// rare heterogeneous column. Operators iterate column-at-a-time and move
-// whole columns between tables; selection vectors (row-index arrays) replace
-// intermediate row materialization.
+// an executing relation as a contiguous typed vector (int64/double/string)
+// or a flat ciphertext arena, plus an optional null mask, with a
+// row-of-Cells fallback for the rare heterogeneous column. Operators
+// iterate column-at-a-time and move whole columns between tables; selection
+// vectors (row-index arrays) replace intermediate row materialization.
 
 #ifndef MPQ_EXEC_COLUMN_H_
 #define MPQ_EXEC_COLUMN_H_
@@ -11,6 +11,7 @@
 #include <cassert>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/flat_hash.h"
@@ -28,7 +29,7 @@ enum class ColumnRep : uint8_t {
   kInt64,   ///< contiguous int64_t
   kDouble,  ///< contiguous double
   kString,  ///< contiguous std::string
-  kEnc,     ///< contiguous EncValue (ciphertext cells)
+  kEnc,     ///< flat ciphertext arena (EncArena)
   kCell,    ///< heterogeneous fallback: materialized Cells
 };
 
@@ -36,6 +37,75 @@ const char* ColumnRepName(ColumnRep r);
 
 /// The typed rep a plaintext column of `type` starts in.
 ColumnRep RepForType(DataType type);
+
+/// Flat storage of a kEnc column's ciphertexts: every blob back to back in
+/// one byte arena, row i's blob at bytes[off[i], off[i+1]) — one allocation
+/// per column instead of a heap string per cell. The column's (scheme, key)
+/// is held once, as the key of its first non-null row; per-row keys are
+/// kept only once rows mix keys, and per-row Paillier counts (aux) only once
+/// some count is not 1. A NULL row of the owning column is a null slot: an
+/// empty blob, count 1, and the column key.
+class EncArena {
+ public:
+  /// The most blob bytes a uint32 offset can address.
+  static constexpr size_t kMaxBytes = UINT32_MAX;
+
+  /// An arena of `off.size() - 1` non-null rows under `key` whose blobs
+  /// (sized by the ascending offsets `off`, off[0] == 0) are zeroed, for a
+  /// caller to fill in place through Slot().
+  static EncArena Sized(EncKey key, std::vector<uint32_t> off);
+
+  size_t size() const { return off_.empty() ? 0 : off_.size() - 1; }
+  /// Total blob bytes.
+  size_t bytes() const { return bytes_.size(); }
+  /// Whether rows are under more than one key.
+  bool mixed_keys() const { return !keys_.empty(); }
+
+  std::string_view blob(size_t i) const {
+    return std::string_view(bytes_.data() + off_[i], off_[i + 1] - off_[i]);
+  }
+  EncKey KeyAt(size_t i) const { return keys_.empty() ? key_ : keys_[i]; }
+  int64_t AuxAt(size_t i) const { return aux_.empty() ? 1 : aux_[i]; }
+  EncView At(size_t i) const { return EncView(KeyAt(i), blob(i), AuxAt(i)); }
+
+  /// Row i's blob bytes, writable (Sized arenas; rows are disjoint, so
+  /// concurrent fills of different rows do not race).
+  char* Slot(size_t i) { return &bytes_[off_[i]]; }
+
+  /// Whether `n` more blob bytes stay addressable.
+  bool Fits(size_t n) const { return n <= kMaxBytes - bytes_.size(); }
+
+  void Reserve(size_t rows, size_t bytes);
+  void Clear();
+
+  /// Appends a ciphertext. Precondition: Fits(ev.blob.size()).
+  void Push(EncView ev);
+  /// Appends a null slot.
+  void PushNull();
+
+  /// Row-wise equality of (key, blob, aux).
+  bool operator==(const EncArena& o) const;
+  bool operator!=(const EncArena& o) const { return !(*this == o); }
+
+ private:
+  friend class ColumnData;
+
+  /// Appends src rows rows(0..n), as null slots where `src_nulls` (empty,
+  /// or one byte per src row) marks them. Returns false, appending
+  /// nothing, when the blobs would not fit.
+  template <typename Rows>
+  bool AppendRows(const EncArena& src, const std::vector<uint8_t>& src_nulls,
+                  size_t n, Rows rows);
+
+  std::string bytes_;
+  /// Empty, or size() + 1 ascending offsets from 0 (an empty column, as
+  /// every plaintext ColumnData holds, allocates nothing).
+  std::vector<uint32_t> off_;
+  bool keyed_ = false;  ///< a non-null row has set key_
+  EncKey key_;
+  std::vector<EncKey> keys_;  ///< per-row keys; empty unless rows mix keys
+  std::vector<int64_t> aux_;  ///< per-row counts; empty while all are 1
+};
 
 /// One column of a Table. The rep is a starting point, not a contract:
 /// appending a cell the current rep cannot hold demotes the column to the
@@ -60,27 +130,28 @@ class ColumnData {
   const std::vector<int64_t>& i64() const { return i64_; }
   const std::vector<double>& f64() const { return f64_; }
   const std::vector<std::string>& str() const { return str_; }
-  const std::vector<EncValue>& enc() const { return enc_; }
+  const EncArena& enc() const { return enc_; }
   const std::vector<Cell>& cells() const { return cells_; }
-  std::vector<EncValue>& enc() { return enc_; }
   std::vector<Cell>& cells() { return cells_; }
 
-  void Reserve(size_t n);
+  /// Reserves room for `n` rows (and, on kEnc, `enc_bytes` blob bytes).
+  void Reserve(size_t n, size_t enc_bytes = 0);
   void Clear();
 
   /// Appends one cell, demoting the rep if it cannot hold it.
   void Append(Cell c);
   void AppendValue(Value v);
+  void AppendEnc(EncView ev);
   void AppendNull();
 
   /// Materializes row `i` as a Cell.
   Cell GetCell(size_t i) const;
 
-  /// The ciphertext at row `i`: a direct reference for rep kEnc, the cell
-  /// variant's payload on the kCell fallback. Precondition: row `i` holds
-  /// an EncValue.
-  const EncValue& EncAt(size_t i) const {
-    return rep_ == ColumnRep::kEnc ? enc_[i] : cells_[i].enc();
+  /// The ciphertext at row `i`: a view into the arena for rep kEnc, of the
+  /// cell variant's payload on the kCell fallback. Precondition: row `i`
+  /// holds a ciphertext.
+  EncView EncAt(size_t i) const {
+    return rep_ == ColumnRep::kEnc ? enc_.At(i) : EncView(cells_[i].enc());
   }
 
   /// Plaintext view of row `i`; rep must not be kEnc (kCell rows must hold
@@ -116,7 +187,7 @@ class ColumnData {
   void Adopt(std::vector<int64_t> vals, std::vector<uint8_t> nulls = {});
   void Adopt(std::vector<double> vals, std::vector<uint8_t> nulls = {});
   void Adopt(std::vector<std::string> vals, std::vector<uint8_t> nulls = {});
-  void Adopt(std::vector<EncValue> vals, std::vector<uint8_t> nulls = {});
+  void Adopt(EncArena vals, std::vector<uint8_t> nulls = {});
   /// The kCell fallback: NULLs are null cells, never a mask.
   void Adopt(std::vector<Cell> cells);
 
@@ -138,7 +209,7 @@ class ColumnData {
   std::vector<int64_t> i64_;
   std::vector<double> f64_;
   std::vector<std::string> str_;
-  std::vector<EncValue> enc_;
+  EncArena enc_;
   std::vector<Cell> cells_;
   std::vector<uint8_t> nulls_;  ///< empty, or size_ entries (1 = NULL)
 };
@@ -192,8 +263,13 @@ class ColumnDict {
 /// first non-null cell (heterogeneous content demotes to kCell).
 ColumnData ColumnFromCells(std::vector<Cell> cells);
 
-/// Builds a ciphertext column from a contiguous EncValue vector.
-ColumnData ColumnFromEnc(std::vector<EncValue> encs);
+/// Builds a ciphertext column from EncValues.
+ColumnData ColumnFromEnc(const std::vector<EncValue>& encs);
+
+/// Splices column parts, in order, into the column ColumnFromCells builds
+/// from the same cells: parts filled by appends (possibly in parallel, one
+/// per morsel) join without materializing a Cell per row.
+ColumnData ConcatColumns(std::vector<ColumnData> parts);
 
 }  // namespace mpq
 

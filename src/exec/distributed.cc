@@ -267,10 +267,9 @@ Result<DistributedResult> DistributedRuntime::Run(const ExtendedPlan& ext,
       uint64_t bytes = net_ != nullptr ? 0 : t.ByteSize();
       if (net_ != nullptr) {
         // The fragment crosses the simulated wire as a compressed column
-        // segment (or the plain column-at-a-time serialization when wire
-        // compression is disabled): the sender encodes whole columns, the
-        // network is charged the encoded size, and the receiver decodes —
-        // so the encode/decode round-trip is exercised on every
+        // segment: the sender encodes whole columns, the network is
+        // charged the encoded size, and the receiver decodes — so the
+        // encode/decode round-trip is exercised on every
         // assignee-crossing edge. (SimNet drops or delays whole messages,
         // never flips bytes; decode of corrupt frames is covered by the
         // serde unit tests.) A traced run annotates the edge with the
@@ -287,20 +286,14 @@ Result<DistributedResult> DistributedRuntime::Run(const ExtendedPlan& ext,
           xfer.AnnInt(key, static_cast<int64_t>(us.count()));
         };
         start_clock();
-        std::string wire;
-        if (compress_wire_) {
-          Result<std::string> enc = EncodeSegment(t);
-          if (!enc.ok()) {
-            xfer.AnnStr("error", enc.status().ToString());
-            record_error(n->id, enc.status());
-            return;
-          }
-          wire = std::move(*enc);
-        } else {
-          wire = t.SerializeColumns();
+        Result<std::string> wire = EncodeSegment(t);
+        if (!wire.ok()) {
+          xfer.AnnStr("error", wire.status().ToString());
+          record_error(n->id, wire.status());
+          return;
         }
         annotate_us("encode_us");
-        bytes = wire.size();
+        bytes = wire->size();
         Result<DeliveryReport> d =
             net_->Deliver(s, dst, bytes, n->id, net_policy_);
         if (!d.ok()) {
@@ -311,10 +304,9 @@ Result<DistributedResult> DistributedRuntime::Run(const ExtendedPlan& ext,
         }
         start_clock();
         Result<Table> decoded = [&]() -> Result<Table> {
-          if (!compress_wire_) return Table::DeserializeColumns(wire);
-          Result<SegmentReader> seg = SegmentReader::Open(std::move(wire));
-          if (!seg.ok()) return seg.status();
-          return seg->Decode();
+          MPQ_ASSIGN_OR_RETURN(SegmentReader seg,
+                               SegmentReader::Open(std::move(*wire)));
+          return seg.Decode();
         }();
         annotate_us("decode_us");
         if (!decoded.ok()) {

@@ -150,28 +150,6 @@ int CmpPlainRows(const ColumnData& a, size_t i, const ColumnData& b, size_t j) {
   return 0;
 }
 
-/// CompareCells over two ciphertext cells, operating on EncValues directly.
-Result<bool> CmpEncRows(CmpOp op, const EncValue& ea, const EncValue& eb) {
-  if (ea.scheme != eb.scheme || ea.key_id != eb.key_id) {
-    return Status::Unsupported(
-        "cannot compare ciphertexts under different schemes or keys");
-  }
-  switch (ea.scheme) {
-    case EncScheme::kDeterministic:
-      if (op == CmpOp::kEq) return ea.blob == eb.blob;
-      if (op == CmpOp::kNe) return ea.blob != eb.blob;
-      return Status::Unsupported(
-          "deterministic ciphertexts support only equality comparison");
-    case EncScheme::kOpe:
-      return ApplyCmp(op, ea.blob.compare(eb.blob));
-    case EncScheme::kRandom:
-      return Status::Unsupported("randomized ciphertexts are not comparable");
-    case EncScheme::kPaillier:
-      return Status::Unsupported("Paillier ciphertexts are not comparable");
-  }
-  return Status::Internal("unreachable scheme");
-}
-
 /// Refines `sel` (ascending row indices into `t`) down to the rows
 /// satisfying `bp`, column-at-a-time. Typed plain and DET/OPE ciphertext
 /// columns take branch-light vector paths; anything unusual falls back to
@@ -203,7 +181,7 @@ Status FilterSelection(const BoundPredicate& bp, const Table& t,
           continue;
         }
         MPQ_ASSIGN_OR_RETURN(bool keep,
-                             CmpEncRows(bp.op, lhs.enc()[r], rhs.enc()[r]));
+                             CompareEnc(bp.op, lhs.EncAt(r), rhs.EncAt(r)));
         if (keep) s[kept++] = r;
       }
       s.resize(kept);
@@ -248,7 +226,7 @@ Status FilterSelection(const BoundPredicate& bp, const Table& t,
     return Status::OK();
   }
   if (bp.rhs_const.is_encrypted() && lhs.rep() == ColumnRep::kEnc) {
-    const EncValue& ev = bp.rhs_const.enc();
+    EncView ev = bp.rhs_const.enc();
     for (uint32_t r : s) {
       if (lhs.IsNull(r)) {
         MPQ_ASSIGN_OR_RETURN(
@@ -256,7 +234,7 @@ Status FilterSelection(const BoundPredicate& bp, const Table& t,
         if (keep) s[kept++] = r;
         continue;
       }
-      MPQ_ASSIGN_OR_RETURN(bool keep, CmpEncRows(bp.op, lhs.enc()[r], ev));
+      MPQ_ASSIGN_OR_RETURN(bool keep, CompareEnc(bp.op, lhs.EncAt(r), ev));
       if (keep) s[kept++] = r;
     }
     s.resize(kept);
@@ -1130,7 +1108,7 @@ Result<bool> RowBetter(const ColumnData& col, CmpOp op, size_t i, size_t j) {
     return ApplyCmp(op, CmpPlainRows(col, i, col, j));
   }
   if (col.rep() == ColumnRep::kEnc && !col.IsNull(i) && !col.IsNull(j)) {
-    return CmpEncRows(op, col.enc()[i], col.enc()[j]);
+    return CompareEnc(op, col.EncAt(i), col.EncAt(j));
   }
   return CompareCells(op, col.GetCell(i), col.GetCell(j));
 }
@@ -1181,7 +1159,7 @@ Status AccumulateRow(const PlanNode* n, const Aggregate& agg,
         case ColumnRep::kEnc:
           break;
       }
-      const EncValue& ev = col.EncAt(r);
+      EncView ev = col.EncAt(r);
       if (ev.scheme != EncScheme::kPaillier) {
         return Status::Unsupported(StrFormat(
             "node %d: %s over %s ciphertext requires the HOM scheme", n->id,
@@ -1391,7 +1369,7 @@ Result<Cell> AggOutputCell(const Aggregate& agg, const AggState& s,
     case AggFunc::kSum:
     case AggFunc::kAvg: {
       if (s.hom) {
-        EncValue ev = col->EncAt(s.hom_template_row);
+        EncValue ev = col->EncAt(s.hom_template_row).ToValue();
         ev.blob = PaillierCipherToBytes(s.hom_cipher);
         ev.aux = s.hom_count;
         return Cell(std::move(ev));
@@ -1527,7 +1505,7 @@ Result<Table> ExecGroupByInMemory(const PlanNode* n, Table in,
           // stay per row so error surfacing matches the eager path, with an
           // inline last-key cache replacing the per-row hash lookup.
           if (sumlike && lazy_slot[ai] >= 0) {
-            const std::vector<EncValue>& encs = col.enc();
+            const EncArena& encs = col.enc();
             auto slot = static_cast<size_t>(lazy_slot[ai]);
             std::vector<uint32_t>& hrows = bg.hom_rows[slot];
             std::vector<uint32_t>& hgids = bg.hom_gids[slot];
@@ -1535,21 +1513,21 @@ Result<Table> ExecGroupByInMemory(const PlanNode* n, Table in,
             uint64_t codec_key = 0;
             for (size_t r = begin; r < end; ++r) {
               if (col.IsNull(r)) continue;
-              const EncValue& ev = encs[r];
-              if (ev.scheme != EncScheme::kPaillier) {
+              EncKey k = encs.KeyAt(r);
+              if (k.scheme != EncScheme::kPaillier) {
                 return Status::Unsupported(StrFormat(
                     "node %d: %s over %s ciphertext requires the HOM scheme",
-                    n->id, AggFuncName(agg.func), EncSchemeName(ev.scheme)));
+                    n->id, AggFuncName(agg.func), EncSchemeName(k.scheme)));
               }
-              if (codec == nullptr || ev.key_id != codec_key) {
-                auto pm = hom_codecs.find(ev.key_id);
+              if (codec == nullptr || k.key_id != codec_key) {
+                auto pm = hom_codecs.find(k.key_id);
                 if (pm == hom_codecs.end()) {
                   return Status::NotFound(StrFormat(
                       "node %d: no public modulus for key %llu", n->id,
-                      static_cast<unsigned long long>(ev.key_id)));
+                      static_cast<unsigned long long>(k.key_id)));
                 }
                 codec = &pm->second;
-                codec_key = ev.key_id;
+                codec_key = k.key_id;
               }
               AggState& s = st[gid[r - begin] * num_aggs + ai];
               if (!s.hom) {
@@ -1557,7 +1535,7 @@ Result<Table> ExecGroupByInMemory(const PlanNode* n, Table in,
                 s.hom_codec = codec;
                 s.hom_template_row = r;
               }
-              s.hom_count += ev.aux;
+              s.hom_count += encs.AuxAt(r);
               hrows.push_back(static_cast<uint32_t>(r));
               hgids.push_back(gid[r - begin]);
             }
@@ -1738,7 +1716,7 @@ Result<Table> ExecGroupByInMemory(const PlanNode* n, Table in,
       if (b == e) continue;  // no ciphertext rows: plaintext/NULL-only group
       // Fold under the group's first ciphertext key — the same binding the
       // eager path uses; phase 1 already validated every key id.
-      uint64_t kid = col.enc()[ordered[b]].key_id;
+      uint64_t kid = col.enc().KeyAt(ordered[b]).key_id;
       if (codec == nullptr || kid != codec_key) {
         codec = &hom_codecs.find(kid)->second;
         codec_key = kid;
@@ -2072,14 +2050,16 @@ Result<Table> ExecEncrypt(const PlanNode* n, Table in, ExecContext* ctx) {
     // plaintext vector (EncryptSpan is const and thread-safe).
     uint64_t nonce_base = ctx->ColumnNonceBase(n->id, a);
     const ColumnData& src = in.col(static_cast<size_t>(idx));
-    std::vector<EncValue> encs(in.num_rows());
+    MPQ_ASSIGN_OR_RETURN(EncArena arena, codec.SizeEncrypt(src, scheme));
     MPQ_RETURN_NOT_OK(RunOpMorsels(
         ctx, OpKind::kEncrypt, in.num_rows(),
         [&](size_t begin, size_t end) -> Status {
           return codec.EncryptSpan(src, begin, end, scheme, nonce_base,
-                                   encs.data() + begin);
+                                   &arena);
         }));
-    in.SetColumnData(static_cast<size_t>(idx), ColumnFromEnc(std::move(encs)));
+    ColumnData encrypted;
+    encrypted.Adopt(std::move(arena));
+    in.SetColumnData(static_cast<size_t>(idx), std::move(encrypted));
     col.encrypted = true;
     col.scheme = scheme;
     col.key_id = key_id;
@@ -2109,18 +2089,23 @@ Result<Table> ExecDecrypt(const PlanNode* n, Table in, ExecContext* ctx) {
     ColumnCodec codec(*km);
     bool avg = col.hom_avg;
     const ColumnData& src = in.col(static_cast<size_t>(idx));
-    std::vector<Cell> cells(in.num_rows());
     // DecryptSpan handles the whole span: ciphertexts decrypt (including the
     // homomorphic-average division), plain NULLs and stray plaintext cells
-    // inside a ciphertext column pass through untouched.
+    // inside a ciphertext column pass through untouched. Each morsel appends
+    // to its own typed part; the parts splice into the column
+    // ColumnFromCells would build from the same cells.
+    const size_t grain = Grain(ctx);
+    std::vector<ColumnData> parts(
+        (in.num_rows() + grain - 1) / grain,
+        ColumnData(RepForType(avg ? DataType::kDouble : col.type)));
     MPQ_RETURN_NOT_OK(RunOpMorsels(
         ctx, OpKind::kDecrypt, in.num_rows(),
         [&](size_t begin, size_t end) -> Status {
           return codec.DecryptSpan(src, begin, end, col.type, avg,
-                                   cells.data() + begin);
+                                   &parts[begin / grain]);
         }));
     in.SetColumnData(static_cast<size_t>(idx),
-                     ColumnFromCells(std::move(cells)));
+                     ConcatColumns(std::move(parts)));
     col.encrypted = false;
     if (avg) {
       col.type = DataType::kDouble;

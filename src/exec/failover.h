@@ -35,7 +35,6 @@ struct FailoverConfig {
   uint64_t key_seed = 2025;      ///< Base seed for per-attempt key material.
   size_t max_failovers = 2;      ///< Re-plan attempts after the first run.
   NetPolicy net_policy;          ///< Per-edge retry/deadline budget.
-  bool compress_wire = true;     ///< Segment-encode cross-subject transfers.
   /// Borrowed; attempt runtimes run fragments and operator loops on this
   /// scheduler (see DistributedRuntime::SetScheduler). Null = sequential.
   MorselScheduler* morsels = nullptr;

@@ -124,11 +124,12 @@ void PutBytes(std::string* out, const std::string& s) {
   out->append(s);
 }
 
-void PutEnc(std::string* out, const EncValue& ev) {
+void PutEnc(std::string* out, EncView ev) {
   PutU8(out, static_cast<uint8_t>(ev.scheme));
   PutU64(out, ev.key_id);
   PutU64(out, static_cast<uint64_t>(ev.aux));
-  PutBytes(out, ev.blob);
+  PutU32(out, static_cast<uint32_t>(ev.blob.size()));
+  out->append(ev.blob.data(), ev.blob.size());
 }
 
 /// Bounds-checked reader over the serialized bytes.
@@ -234,7 +235,10 @@ std::string Table::SerializeColumns() const {
         break;
       }
       case ColumnRep::kEnc:
-        for (const EncValue& ev : d.enc()) PutEnc(&out, ev);
+        // A NULL row's record is the default ciphertext.
+        for (size_t r = 0; r < d.size(); ++r) {
+          PutEnc(&out, d.IsNull(r) ? EncView() : d.enc().At(r));
+        }
         break;
       case ColumnRep::kCell:
         for (const Cell& cell : d.cells()) {

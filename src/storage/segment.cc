@@ -1,6 +1,7 @@
 #include "storage/segment.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 #include "common/flat_hash.h"
@@ -60,7 +61,7 @@ char* Extend(std::string* out, size_t n) {
 }
 
 char* WriteRaw(char* p, const void* src, size_t n) {
-  std::memcpy(p, src, n);
+  if (n != 0) std::memcpy(p, src, n);  // src may be null at 0
   return p + n;
 }
 
@@ -75,15 +76,17 @@ char* WriteBytes(char* p, const std::string& s) {
 /// WriteBytes lays it out — kEncFixed + blob.size() bytes.
 constexpr size_t kEncFixed = 1 + 8 + 8 + 4;
 
-char* WriteEnc(char* p, const EncValue& ev) {
+char* WriteEnc(char* p, EncView ev) {
   *p++ = static_cast<char>(ev.scheme);
   p = WriteRaw(p, &ev.key_id, sizeof(ev.key_id));
   uint64_t aux = static_cast<uint64_t>(ev.aux);
   p = WriteRaw(p, &aux, sizeof(aux));
-  return WriteBytes(p, ev.blob);
+  uint32_t n = static_cast<uint32_t>(ev.blob.size());
+  p = WriteRaw(p, &n, sizeof(n));
+  return WriteRaw(p, ev.blob.data(), ev.blob.size());
 }
 
-void PutEnc(std::string* out, const EncValue& ev) {
+void PutEnc(std::string* out, EncView ev) {
   WriteEnc(Extend(out, kEncFixed + ev.blob.size()), ev);
 }
 
@@ -150,15 +153,18 @@ struct Reader {
     pos += n;
     return true;
   }
-  bool Enc(EncValue* ev) {
+  /// A ciphertext record; the view's blob points into the frame.
+  bool Enc(EncView* ev) {
     uint8_t scheme;
-    uint64_t aux;
+    uint64_t key_id, aux;
+    uint32_t n;
     if (!U8(&scheme) || scheme > static_cast<uint8_t>(EncScheme::kPaillier) ||
-        !U64(&ev->key_id) || !U64(&aux) || !Bytes(&ev->blob)) {
+        !U64(&key_id) || !U64(&aux) || !U32(&n) || n > size - pos) {
       return false;
     }
-    ev->scheme = static_cast<EncScheme>(scheme);
-    ev->aux = static_cast<int64_t>(aux);
+    *ev = EncView(EncKey{static_cast<EncScheme>(scheme), key_id},
+                  std::string_view(data + pos, n), static_cast<int64_t>(aux));
+    pos += n;
     return true;
   }
 };
@@ -233,33 +239,57 @@ uint8_t BitsFor(uint64_t v) {
   return bits;
 }
 
-/// Int64 page: the cheapest of raw, run-length, and frame-of-reference
-/// bit-packing — a deterministic function of the values alone (ties prefer
-/// the lower page kind).
-void EncodeInt64Page(const std::vector<int64_t>& v, std::string* out) {
+/// An int64 page's encoding: the cheapest of raw, run-length, and
+/// frame-of-reference bit-packing — a deterministic function of the values
+/// alone (ties prefer the lower page kind).
+struct Int64Page {
+  uint8_t kind = kPageRaw;
+  size_t runs = 0;
+  int64_t mn = 0;
+  uint8_t bw = 0;
+  uint64_t len = 0;  ///< page bytes
+};
+
+Int64Page PlanInt64Page(const std::vector<int64_t>& v) {
+  Int64Page pg;
   size_t n = v.size();
   uint64_t raw_cost = 1 + 8 * static_cast<uint64_t>(n);
 
-  size_t runs = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (i == 0 || v[i] != v[i - 1]) ++runs;
+    if (i == 0 || v[i] != v[i - 1]) ++pg.runs;
   }
-  uint64_t rle_cost = 1 + 4 + 12 * static_cast<uint64_t>(runs);
+  uint64_t rle_cost = 1 + 4 + 12 * static_cast<uint64_t>(pg.runs);
 
-  int64_t mn = 0, mx = 0;
+  int64_t mx = 0;
   if (n > 0) {
-    mn = *std::min_element(v.begin(), v.end());
+    pg.mn = *std::min_element(v.begin(), v.end());
     mx = *std::max_element(v.begin(), v.end());
   }
   uint64_t max_delta =
-      static_cast<uint64_t>(mx) - static_cast<uint64_t>(mn);
-  uint8_t bw = BitsFor(max_delta);
+      static_cast<uint64_t>(mx) - static_cast<uint64_t>(pg.mn);
+  pg.bw = BitsFor(max_delta);
   uint64_t for_cost =
-      1 + 8 + 1 + (static_cast<uint64_t>(n) * bw + 7) / 8;
+      1 + 8 + 1 + (static_cast<uint64_t>(n) * pg.bw + 7) / 8;
 
   if (n > 0 && rle_cost < raw_cost && rle_cost <= for_cost) {
-    PutU8(out, kPageRle);
-    PutU32(out, static_cast<uint32_t>(runs));
+    pg.kind = kPageRle;
+    pg.len = rle_cost;
+  } else if (n > 0 && for_cost < raw_cost) {
+    pg.kind = kPageFor;
+    pg.len = for_cost;
+  } else {
+    pg.kind = kPageRaw;
+    pg.len = raw_cost;
+  }
+  return pg;
+}
+
+void EncodeInt64Page(const std::vector<int64_t>& v, const Int64Page& pg,
+                     std::string* out) {
+  size_t n = v.size();
+  PutU8(out, pg.kind);
+  if (pg.kind == kPageRle) {
+    PutU32(out, static_cast<uint32_t>(pg.runs));
     for (size_t i = 0; i < n;) {
       size_t j = i + 1;
       while (j < n && v[j] == v[i]) ++j;
@@ -267,21 +297,17 @@ void EncodeInt64Page(const std::vector<int64_t>& v, std::string* out) {
       PutU32(out, static_cast<uint32_t>(j - i));
       i = j;
     }
-    return;
-  }
-  if (n > 0 && for_cost < raw_cost) {
-    PutU8(out, kPageFor);
-    PutU64(out, static_cast<uint64_t>(mn));
-    PutU8(out, bw);
+  } else if (pg.kind == kPageFor) {
+    PutU64(out, static_cast<uint64_t>(pg.mn));
+    PutU8(out, pg.bw);
     std::vector<uint64_t> deltas(n);
     for (size_t i = 0; i < n; ++i) {
-      deltas[i] = static_cast<uint64_t>(v[i]) - static_cast<uint64_t>(mn);
+      deltas[i] = static_cast<uint64_t>(v[i]) - static_cast<uint64_t>(pg.mn);
     }
-    PackBits(deltas.data(), n, bw, out);
-    return;
+    PackBits(deltas.data(), n, pg.bw, out);
+  } else {
+    out->append(reinterpret_cast<const char*>(v.data()), 8 * n);
   }
-  PutU8(out, kPageRaw);
-  out->append(reinterpret_cast<const char*>(v.data()), 8 * n);
 }
 
 Status DecodeInt64Page(Reader* r, uint64_t num_rows,
@@ -336,35 +362,65 @@ Status DecodeInt64Page(Reader* r, uint64_t num_rows,
 /// String page: dictionary + bit-packed codes when strictly smaller than
 /// the plain length-prefixed payload (deterministic, like the wire format's
 /// dictionary decision).
-Status EncodeStringPage(const ColumnData& d, std::string* out) {
+struct StringPage {
+  bool dict = false;
+  std::vector<uint32_t> values;  ///< dictionary code -> row of its value
+  std::vector<uint32_t> codes;   ///< per-row dictionary code
+  uint8_t code_bits = 0;
+  uint64_t len = 0;  ///< page bytes
+};
+
+Status PlanStringPage(const ColumnData& d, StringPage* pg) {
   size_t n = d.size();
   ColumnDict dict(&d);
-  std::vector<uint32_t> codes(n);
-  MPQ_RETURN_NOT_OK(dict.EncodeRange(0, n, codes.data()));
+  pg->codes.resize(n);
+  MPQ_RETURN_NOT_OK(dict.EncodeRange(0, n, pg->codes.data()));
 
   uint64_t plain_cost = 0;
   for (const std::string& s : d.str()) plain_cost += 4 + s.size();
-  uint8_t code_bits =
+  pg->code_bits =
       dict.size() == 0 ? 0 : BitsFor(static_cast<uint64_t>(dict.size() - 1));
-  uint64_t dict_cost = 4 + 1 + (static_cast<uint64_t>(n) * code_bits + 7) / 8;
+  uint64_t dict_cost =
+      4 + 1 + (static_cast<uint64_t>(n) * pg->code_bits + 7) / 8;
   for (uint32_t k = 0; k < dict.size(); ++k) {
     dict_cost += 4 + d.str()[dict.RepRow(k)].size();
   }
 
-  if (dict_cost < plain_cost) {
+  pg->dict = dict_cost < plain_cost;
+  if (pg->dict) {
+    pg->values.resize(dict.size());
+    for (uint32_t k = 0; k < dict.size(); ++k) pg->values[k] = dict.RepRow(k);
+  } else {
+    pg->codes.clear();
+  }
+  pg->len = 1 + std::min(dict_cost, plain_cost);
+  return Status::OK();
+}
+
+void EncodeStringPage(const ColumnData& d, const StringPage& pg,
+                      std::string* out) {
+  if (pg.dict) {
     PutU8(out, kStringDict);
-    PutU32(out, static_cast<uint32_t>(dict.size()));
-    for (uint32_t k = 0; k < dict.size(); ++k) {
-      PutBytes(out, d.str()[dict.RepRow(k)]);
-    }
-    PutU8(out, code_bits);
-    PackBits(codes.data(), n, code_bits, out);
+    PutU32(out, static_cast<uint32_t>(pg.values.size()));
+    for (uint32_t row : pg.values) PutBytes(out, d.str()[row]);
+    PutU8(out, pg.code_bits);
+    PackBits(pg.codes.data(), pg.codes.size(), pg.code_bits, out);
   } else {
     PutU8(out, kStringPlain);
-    char* p = Extend(out, plain_cost);
+    char* p = Extend(out, pg.len - 1);
     for (const std::string& s : d.str()) p = WriteBytes(p, s);
   }
-  return Status::OK();
+}
+
+/// Ciphertext page: one record per row, straight from the column's arena;
+/// a NULL row's record is the default ciphertext (RND, key 0, count 1, no
+/// blob).
+void EncodeEncPage(const ColumnData& d, std::string* out) {
+  const EncArena& a = d.enc();
+  char* p = Extend(out, kEncFixed * d.size() + a.bytes());
+  for (size_t i = 0; i < d.size(); ++i) {
+    p = WriteEnc(p, d.IsNull(i) ? EncView() : a.At(i));
+  }
 }
 
 /// Null mask bit-packing (1 = NULL), (rows + 7) / 8 bytes.
@@ -533,12 +589,20 @@ Status DecodeColumnPage(Reader* r, ColumnRep rep, uint64_t num_rows,
     }
     case ColumnRep::kEnc: {
       if (num_rows > (r->size - r->pos) / kEncFixed) return Corrupt();
-      std::vector<EncValue> vals(num_rows);
+      // One arena for the column: a well-formed page's blobs fill exactly
+      // what its fixed-size record headers leave. A NULL row's record is
+      // validated, then dropped.
+      *out = ColumnData(ColumnRep::kEnc);
+      out->Reserve(num_rows, r->size - r->pos - kEncFixed * num_rows);
       for (uint64_t i = 0; i < num_rows; ++i) {
-        if (!r->Enc(&vals[i])) return Corrupt();
+        EncView ev;
+        if (!r->Enc(&ev)) return Corrupt();
+        if (!nulls.empty() && nulls[i] != 0) {
+          out->AppendNull();
+        } else {
+          out->AppendEnc(ev);
+        }
       }
-      ClearMasked(nulls, &vals);
-      out->Adopt(std::move(vals), std::move(nulls));
       return Status::OK();
     }
     case ColumnRep::kCell: {
@@ -550,9 +614,9 @@ Status DecodeColumnPage(Reader* r, ColumnRep rep, uint64_t num_rows,
         uint8_t is_enc;
         if (!r->U8(&is_enc)) return Corrupt();
         if (is_enc) {
-          EncValue ev;
+          EncView ev;
           if (!r->Enc(&ev)) return Corrupt();
-          cells.emplace_back(std::move(ev));
+          cells.emplace_back(ev.ToValue());
         } else {
           std::string s;
           if (!r->Bytes(&s)) return Corrupt();
@@ -570,44 +634,100 @@ Status DecodeColumnPage(Reader* r, ColumnRep rep, uint64_t num_rows,
 }  // namespace
 
 Result<std::string> EncodeSegment(const Table& t) {
+  // Every page is planned, and so sized, before any byte is written: the
+  // frame is allocated once and page offsets are known up front.
+  struct Page {
+    SegmentZone zone;
+    uint64_t offset = 0;
+    uint64_t len = 0;  ///< null mask + page bytes
+    Int64Page i64;
+    StringPage str;
+  };
+  const size_t num_cols = t.num_columns();
+  std::vector<Page> pages(num_cols);
+  uint64_t offset = kHeaderSize;
+  for (size_t c = 0; c < num_cols; ++c) {
+    const ColumnData& d = t.col(c);
+    const size_t n = d.size();
+    Page& pg = pages[c];
+    pg.zone = ComputeZone(t.columns()[c], d);
+    pg.len = d.has_nulls() ? (n + 7) / 8 : 0;
+    switch (d.rep()) {
+      case ColumnRep::kInt64:
+        pg.i64 = PlanInt64Page(d.i64());
+        pg.len += pg.i64.len;
+        break;
+      case ColumnRep::kDouble:
+        pg.len += 8 * n;
+        break;
+      case ColumnRep::kString:
+        MPQ_RETURN_NOT_OK(PlanStringPage(d, &pg.str));
+        pg.len += pg.str.len;
+        break;
+      case ColumnRep::kEnc:
+        pg.len += kEncFixed * n + d.enc().bytes();
+        break;
+      case ColumnRep::kCell:
+        for (const Cell& cell : d.cells()) {
+          pg.len += 1 + (cell.is_encrypted()
+                             ? kEncFixed + cell.enc().blob.size()
+                             : 4 + cell.plain().Serialize().size());
+        }
+        break;
+    }
+    pg.offset = offset;
+    offset += pg.len;
+  }
+
+  const uint64_t footer_offset = offset;
+  std::string footer;
+  for (size_t c = 0; c < num_cols; ++c) {
+    const ExecColumn& col = t.columns()[c];
+    const ColumnData& d = t.col(c);
+    const Page& pg = pages[c];
+    PutU32(&footer, col.attr);
+    PutBytes(&footer, col.name);
+    PutU8(&footer, static_cast<uint8_t>(col.type));
+    PutU8(&footer, col.encrypted ? 1 : 0);
+    PutU8(&footer, static_cast<uint8_t>(col.scheme));
+    PutU64(&footer, col.key_id);
+    PutU8(&footer, col.hom_avg ? 1 : 0);
+    PutU8(&footer, static_cast<uint8_t>(d.rep()));
+    PutU8(&footer, d.has_nulls() ? 1 : 0);
+    PutU64(&footer, pg.offset);
+    PutU64(&footer, pg.len);
+    PutU64(&footer, pg.zone.null_count);
+    PutU8(&footer, pg.zone.has_range ? 1 : 0);
+    if (pg.zone.has_range) {
+      PutBytes(&footer, pg.zone.min.Serialize());
+      PutBytes(&footer, pg.zone.max.Serialize());
+    }
+  }
+
   std::string out;
+  out.reserve(footer_offset + footer.size() + kTrailerSize);
   out.append(kMagic, sizeof(kMagic));
   PutU8(&out, kVersion);
   PutU64(&out, t.num_rows());
-  PutU32(&out, static_cast<uint32_t>(t.num_columns()));
-
-  struct Entry {
-    uint64_t page_offset;
-    uint64_t page_len;
-    SegmentZone zone;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(t.num_columns());
-
-  for (size_t c = 0; c < t.num_columns(); ++c) {
+  PutU32(&out, static_cast<uint32_t>(num_cols));
+  for (size_t c = 0; c < num_cols; ++c) {
     const ColumnData& d = t.col(c);
-    Entry e;
-    e.page_offset = out.size();
-    e.zone = ComputeZone(t.columns()[c], d);
+    const Page& pg = pages[c];
     if (d.has_nulls()) EncodeNullMask(d, &out);
     switch (d.rep()) {
       case ColumnRep::kInt64:
-        EncodeInt64Page(d.i64(), &out);
+        EncodeInt64Page(d.i64(), pg.i64, &out);
         break;
       case ColumnRep::kDouble:
         out.append(reinterpret_cast<const char*>(d.f64().data()),
                    8 * d.size());
         break;
       case ColumnRep::kString:
-        MPQ_RETURN_NOT_OK(EncodeStringPage(d, &out));
+        EncodeStringPage(d, pg.str, &out);
         break;
-      case ColumnRep::kEnc: {
-        size_t page = kEncFixed * d.size();
-        for (const EncValue& ev : d.enc()) page += ev.blob.size();
-        char* p = Extend(&out, page);
-        for (const EncValue& ev : d.enc()) p = WriteEnc(p, ev);
+      case ColumnRep::kEnc:
+        EncodeEncPage(d, &out);
         break;
-      }
       case ColumnRep::kCell:
         for (const Cell& cell : d.cells()) {
           PutU8(&out, cell.is_encrypted() ? 1 : 0);
@@ -619,33 +739,9 @@ Result<std::string> EncodeSegment(const Table& t) {
         }
         break;
     }
-    e.page_len = out.size() - e.page_offset;
-    entries.push_back(std::move(e));
+    assert(out.size() == pg.offset + pg.len);
   }
-
-  uint64_t footer_offset = out.size();
-  for (size_t c = 0; c < t.num_columns(); ++c) {
-    const ExecColumn& col = t.columns()[c];
-    const ColumnData& d = t.col(c);
-    const Entry& e = entries[c];
-    PutU32(&out, col.attr);
-    PutBytes(&out, col.name);
-    PutU8(&out, static_cast<uint8_t>(col.type));
-    PutU8(&out, col.encrypted ? 1 : 0);
-    PutU8(&out, static_cast<uint8_t>(col.scheme));
-    PutU64(&out, col.key_id);
-    PutU8(&out, col.hom_avg ? 1 : 0);
-    PutU8(&out, static_cast<uint8_t>(d.rep()));
-    PutU8(&out, d.has_nulls() ? 1 : 0);
-    PutU64(&out, e.page_offset);
-    PutU64(&out, e.page_len);
-    PutU64(&out, e.zone.null_count);
-    PutU8(&out, e.zone.has_range ? 1 : 0);
-    if (e.zone.has_range) {
-      PutBytes(&out, e.zone.min.Serialize());
-      PutBytes(&out, e.zone.max.Serialize());
-    }
-  }
+  out.append(footer);
   PutU64(&out, footer_offset);
   PutU64(&out, FrameChecksum(out.data(), out.size()));
   return out;

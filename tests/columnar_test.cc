@@ -181,7 +181,8 @@ TEST_F(TableSerdeTest, RoundTripEncryptedColumn) {
   ASSERT_EQ(back->col(0).rep(), ColumnRep::kEnc);
   EXPECT_TRUE(back->columns()[0].encrypted);
   for (size_t r = 0; r < t.num_rows(); ++r) {
-    EXPECT_EQ(back->col(0).enc()[r], t.col(0).enc()[r]) << "row " << r;
+    EXPECT_EQ(back->col(0).EncAt(r).ToValue(), t.col(0).EncAt(r).ToValue())
+        << "row " << r;
   }
 }
 

@@ -332,25 +332,28 @@ TEST(CryptoKat, CodecSpansEqualSingleCellOnContiguousColumns) {
     cells.reserve(values.size());
     for (int64_t v : values) cells.emplace_back(Value(v));
     ColumnData column = ColumnFromCells(std::move(cells));
-    std::vector<EncValue> encs(column.size());
+    Result<EncArena> encs = codec.SizeEncrypt(column, s);
+    ASSERT_TRUE(encs.ok());
     ASSERT_TRUE(codec.EncryptSpan(column, 0, column.size(), s, nonce_base,
-                                  encs.data())
+                                  &*encs)
                     .ok())
         << EncSchemeName(s);
     for (size_t i = 0; i < values.size(); ++i) {
       Result<EncValue> single =
           EncryptValue(Value(values[i]), s, 3, km, nonce_base + i);
       ASSERT_TRUE(single.ok());
-      EXPECT_EQ(encs[i], *single) << EncSchemeName(s) << " cell " << i;
+      EXPECT_EQ(encs->At(i).ToValue(), *single)
+          << EncSchemeName(s) << " cell " << i;
     }
     // And DecryptSpan inverts the whole contiguous ciphertext column.
-    ColumnData enc_column = ColumnFromEnc(std::move(encs));
-    std::vector<Cell> roundtrip(enc_column.size());
+    ColumnData enc_column;
+    enc_column.Adopt(std::move(*encs));
+    ColumnData roundtrip;
     ASSERT_TRUE(codec.DecryptSpan(enc_column, 0, enc_column.size(),
-                                  DataType::kInt64, false, roundtrip.data())
+                                  DataType::kInt64, false, &roundtrip)
                     .ok());
     for (size_t i = 0; i < values.size(); ++i) {
-      EXPECT_EQ(roundtrip[i].plain(), Value(values[i]))
+      EXPECT_EQ(roundtrip.GetCell(i).plain(), Value(values[i]))
           << EncSchemeName(s) << " cell " << i;
     }
   }

@@ -420,6 +420,60 @@ TEST(SegmentTest, GoldenFrameBodyIsPinned) {
   }
 }
 
+TEST(SegmentTest, MixedKeyCiphertextPageRoundTrips) {
+  // A ciphertext column holds its (scheme, key) once; rows under a second
+  // key switch it to per-row keys, never out of the flat arena, so the
+  // page still carries one record per row and decodes to equal cells.
+  const EncValue a{EncScheme::kDeterministic, 1, "alpha", 1};
+  const EncValue b{EncScheme::kDeterministic, 2, std::string(16, '\x7f'), 5};
+  ColumnData uniform(ColumnRep::kEnc);
+  ColumnData mixed(ColumnRep::kEnc);
+  for (size_t r = 0; r < 40; ++r) {
+    if (r % 9 == 4) {
+      uniform.AppendNull();
+      mixed.AppendNull();
+      continue;
+    }
+    uniform.Append(Cell(a));
+    mixed.Append(Cell(r % 3 == 1 ? b : a));
+  }
+  EXPECT_FALSE(uniform.enc().mixed_keys());
+  ASSERT_EQ(mixed.rep(), ColumnRep::kEnc);
+  EXPECT_TRUE(mixed.enc().mixed_keys());
+
+  Table t;
+  ExecColumn meta;
+  meta.encrypted = true;
+  meta.scheme = EncScheme::kDeterministic;
+  meta.name = "uniform";
+  t.AddColumn(meta, uniform);
+  meta.name = "mixed";
+  t.AddColumn(meta, mixed);
+  Result<std::string> frame = EncodeSegment(t);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  Result<SegmentReader> r = SegmentReader::Open(*frame);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  Result<Table> back = r->Decode();
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    const ColumnData& want = t.col(c);
+    const ColumnData& got = back->col(c);
+    ASSERT_EQ(got.rep(), ColumnRep::kEnc);
+    EXPECT_EQ(got.enc().mixed_keys(), want.enc().mixed_keys());
+    EXPECT_EQ(got.enc(), want.enc());
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t row = 0; row < want.size(); ++row) {
+      ASSERT_EQ(got.IsNull(row), want.IsNull(row)) << row;
+      if (want.IsNull(row)) continue;
+      EXPECT_EQ(got.GetCell(row).enc(), want.GetCell(row).enc()) << row;
+    }
+  }
+  Result<std::string> again = EncodeSegment(*back);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *frame);
+  EXPECT_EQ(back->SerializeColumns(), t.SerializeColumns());
+}
+
 TEST(SegmentTest, ZoneMapsMatchColumnContents) {
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     Table t = RandomTable(seed);
