@@ -60,7 +60,17 @@ bool ThreadPool::Submit(std::function<void()> task) {
     if (queues_[q]->closed) return false;
     queues_[q]->tasks.push_back(std::move(task));
   }
-  pending_.fetch_add(1, std::memory_order_release);
+  // The bump happens under wake_mu_, the mutex WorkerLoop holds while it
+  // tests its wait predicate. Unlocked, it could land between a worker's
+  // test (pending_ == 0) and its block inside wait(), and the notify below
+  // would then find no waiter: the worker sleeps with a task queued, and
+  // with no caller helping, that task never runs. Under the mutex the bump
+  // comes either before the test, which then sees it, or after the worker
+  // has atomically released the mutex and blocked, which the notify wakes.
+  {
+    std::lock_guard<std::mutex> lock(wake_mu_);
+    pending_.fetch_add(1, std::memory_order_release);
+  }
   wake_cv_.notify_one();
   return true;
 }

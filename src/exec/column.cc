@@ -33,13 +33,18 @@ ColumnRep RepForType(DataType type) {
   return ColumnRep::kCell;
 }
 
-EncArena EncArena::Sized(EncKey key, std::vector<uint32_t> off) {
+EncArena EncArena::Sized(std::optional<EncKey> key, std::vector<uint32_t> off,
+                         std::vector<EncKey> keys, std::vector<int64_t> aux) {
   assert(!off.empty() && off[0] == 0);
+  assert(keys.empty() || keys.size() == off.size() - 1);
+  assert(aux.empty() || aux.size() == off.size() - 1);
   EncArena a;
   a.bytes_.resize(off.back());
   a.off_ = std::move(off);
-  a.keyed_ = a.size() > 0;
-  a.key_ = key;
+  a.keyed_ = key.has_value() && a.size() > 0;
+  a.key_ = key.value_or(EncKey());
+  a.keys_ = std::move(keys);
+  a.aux_ = std::move(aux);
   return a;
 }
 

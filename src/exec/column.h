@@ -10,6 +10,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,10 +51,14 @@ class EncArena {
   /// The most blob bytes a uint32 offset can address.
   static constexpr size_t kMaxBytes = UINT32_MAX;
 
-  /// An arena of `off.size() - 1` non-null rows under `key` whose blobs
-  /// (sized by the ascending offsets `off`, off[0] == 0) are zeroed, for a
-  /// caller to fill in place through Slot().
-  static EncArena Sized(EncKey key, std::vector<uint32_t> off);
+  /// An arena of `off.size() - 1` rows whose blobs (sized by the ascending
+  /// offsets `off`, off[0] == 0) are zeroed, for a caller to fill in place
+  /// through Slot(). `key` is the column key, or nullopt when no row has
+  /// set one (every row a null slot); `keys` and `aux` are empty or hold
+  /// one entry per row, exactly as Push/PushNull would have built them.
+  static EncArena Sized(std::optional<EncKey> key, std::vector<uint32_t> off,
+                        std::vector<EncKey> keys = {},
+                        std::vector<int64_t> aux = {});
 
   size_t size() const { return off_.empty() ? 0 : off_.size() - 1; }
   /// Total blob bytes.
@@ -67,6 +72,9 @@ class EncArena {
   EncKey KeyAt(size_t i) const { return keys_.empty() ? key_ : keys_[i]; }
   int64_t AuxAt(size_t i) const { return aux_.empty() ? 1 : aux_[i]; }
   EncView At(size_t i) const { return EncView(KeyAt(i), blob(i), AuxAt(i)); }
+
+  /// Where row i's blob starts in the arena (i <= size(); 0 when empty).
+  size_t BlobOffset(size_t i) const { return off_.empty() ? 0 : off_[i]; }
 
   /// Row i's blob bytes, writable (Sized arenas; rows are disjoint, so
   /// concurrent fills of different rows do not race).

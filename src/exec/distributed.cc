@@ -286,7 +286,7 @@ Result<DistributedResult> DistributedRuntime::Run(const ExtendedPlan& ext,
           xfer.AnnInt(key, static_cast<int64_t>(us.count()));
         };
         start_clock();
-        Result<std::string> wire = EncodeSegment(t);
+        Result<std::string> wire = EncodeSegment(t, scheduler_);
         if (!wire.ok()) {
           xfer.AnnStr("error", wire.status().ToString());
           record_error(n->id, wire.status());
@@ -304,9 +304,10 @@ Result<DistributedResult> DistributedRuntime::Run(const ExtendedPlan& ext,
         }
         start_clock();
         Result<Table> decoded = [&]() -> Result<Table> {
-          MPQ_ASSIGN_OR_RETURN(SegmentReader seg,
-                               SegmentReader::Open(std::move(*wire)));
-          return seg.Decode();
+          MPQ_ASSIGN_OR_RETURN(
+              SegmentReader seg,
+              SegmentReader::Open(std::move(*wire), scheduler_));
+          return seg.Decode(scheduler_);
         }();
         annotate_us("decode_us");
         if (!decoded.ok()) {

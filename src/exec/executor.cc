@@ -46,11 +46,7 @@ Status RunOpMorsels(ExecContext* ctx, OpKind kind, size_t n,
     if (ctx->op_profile != nullptr) ctx->op_profile->RecordMorsels(kind, m);
     ctx->op_morsels.fetch_add(m, std::memory_order_relaxed);
   }
-  if (ctx->morsels != nullptr) return ctx->morsels->Run(n, grain, fn);
-  for (size_t begin = 0; begin < n; begin += grain) {
-    MPQ_RETURN_NOT_OK(fn(begin, std::min(begin + grain, n)));
-  }
-  return Status::OK();
+  return RunMorsels(ctx->morsels, n, grain, fn);
 }
 
 Status ColNotFound(const PlanNode* n, AttrId a, const Catalog& catalog) {
@@ -907,8 +903,9 @@ Status WriteFileBytes(const std::string& path, const std::string& bytes) {
   return Status::OK();
 }
 
-/// Reads a spill file back and deletes it (each partition is read once).
-Result<Table> ReadSpillSegment(const std::string& path) {
+/// Reads a spill file back and deletes it (each partition is read once),
+/// decoding on the context's scheduler.
+Result<Table> ReadSpillSegment(const std::string& path, ExecContext* ctx) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return Status::Internal(StrFormat("cannot open spill file %s",
@@ -919,8 +916,9 @@ Result<Table> ReadSpillSegment(const std::string& path) {
   in.close();
   std::error_code ec;
   std::filesystem::remove(path, ec);  // best effort
-  MPQ_ASSIGN_OR_RETURN(SegmentReader sr, SegmentReader::Open(std::move(bytes)));
-  return sr.Decode();
+  MPQ_ASSIGN_OR_RETURN(SegmentReader sr,
+                       SegmentReader::Open(std::move(bytes), ctx->morsels));
+  return sr.Decode(ctx->morsels);
 }
 
 /// Appends a plain int64 global-row column to `t` (rows 0..n-1). Spilled
@@ -942,7 +940,8 @@ void AppendRowIdColumn(Table* t) {
 
 /// Splits `t` into kSpillFanout partitions by salted key-byte hash (equal
 /// keys co-partition; the salt decorrelates recursive generations), writing
-/// each as one compressed segment file. Sequential and deterministic.
+/// each as one compressed segment file. Partitions are written in order,
+/// each encoded on the context's scheduler; deterministic.
 Result<std::vector<std::string>> SpillPartitionTable(
     const Table& t, const std::vector<int>& key_cols, uint64_t salt,
     ExecContext* ctx) {
@@ -962,7 +961,7 @@ Result<std::vector<std::string>> SpillPartitionTable(
       d.AppendSelected(t.col(c), sels[p].data(), sels[p].size());
       part.AddColumn(t.columns()[c], std::move(d));
     }
-    MPQ_ASSIGN_OR_RETURN(std::string bytes, EncodeSegment(part));
+    MPQ_ASSIGN_OR_RETURN(std::string bytes, EncodeSegment(part, ctx->morsels));
     paths[p] = NextSpillPath(ctx);
     MPQ_RETURN_NOT_OK(WriteFileBytes(paths[p], bytes));
     ctx->spill_partitions.fetch_add(1, std::memory_order_relaxed);
@@ -992,8 +991,8 @@ Result<Table> ExecJoinPartitioned(const PlanNode* n, Table l, Table r,
   r = Table();
   std::vector<Chunk> chunks;
   for (size_t p = 0; p < kSpillFanout; ++p) {
-    MPQ_ASSIGN_OR_RETURN(Table lp, ReadSpillSegment(lpaths[p]));
-    MPQ_ASSIGN_OR_RETURN(Table rp, ReadSpillSegment(rpaths[p]));
+    MPQ_ASSIGN_OR_RETURN(Table lp, ReadSpillSegment(lpaths[p], ctx));
+    MPQ_ASSIGN_OR_RETURN(Table rp, ReadSpillSegment(rpaths[p], ctx));
     if (lp.num_rows() == 0 || rp.num_rows() == 0) continue;
     Result<Table> joined =
         depth + 1 < kMaxSpillDepth &&
@@ -1812,7 +1811,7 @@ Result<Table> ExecGroupBySpill(const PlanNode* n, Table in, ExecContext* ctx) {
 
   size_t grain = Grain(ctx);
   for (size_t p = 0; p < kSpillFanout; ++p) {
-    MPQ_ASSIGN_OR_RETURN(Table part, ReadSpillSegment(paths[p]));
+    MPQ_ASSIGN_OR_RETURN(Table part, ReadSpillSegment(paths[p], ctx));
     if (part.num_rows() == 0) continue;
     const int64_t* grow = part.col(n_in_cols).i64().data();
     FlatHashIndex index(part.num_rows());
@@ -2232,7 +2231,7 @@ Result<Table> ZoneMapScan(const SegmentedTable& st, const PlanNode* sel,
       }
     }
   }
-  std::vector<Chunk> chunks;
+  std::vector<const SegmentReader*> survivors;
   for (size_t s = 0; s < st.num_segments(); ++s) {
     const SegmentReader& seg = st.segment(s);
     ctx->segments_scanned.fetch_add(1, std::memory_order_relaxed);
@@ -2247,14 +2246,22 @@ Result<Table> ZoneMapScan(const SegmentedTable& st, const PlanNode* sel,
       ctx->segments_skipped.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    MPQ_ASSIGN_OR_RETURN(Table part, seg.Decode());
-    Chunk ch;
-    ch.reserve(part.num_columns());
-    for (size_t c = 0; c < part.num_columns(); ++c) {
-      ch.push_back(std::move(part.col_mut(c)));
-    }
-    chunks.push_back(std::move(ch));
+    survivors.push_back(&seg);
   }
+  // Surviving segment i decodes as morsel i; chunks merge in segment order.
+  std::vector<Chunk> chunks(survivors.size());
+  MPQ_RETURN_NOT_OK(RunMorsels(
+      ctx->morsels, survivors.size(), 1,
+      [&](size_t begin, size_t end) -> Status {
+        for (size_t i = begin; i < end; ++i) {
+          MPQ_ASSIGN_OR_RETURN(Table part, survivors[i]->Decode(ctx->morsels));
+          chunks[i].reserve(part.num_columns());
+          for (size_t c = 0; c < part.num_columns(); ++c) {
+            chunks[i].push_back(std::move(part.col_mut(c)));
+          }
+        }
+        return Status::OK();
+      }));
   if (chunks.empty()) {
     // Everything pruned: an empty table in the segments' physical reps, the
     // same shape a fully filtered decode would produce.
@@ -2333,11 +2340,8 @@ Result<Table> ExecutePlan(const PlanNode* root, ExecContext* ctx) {
     MPQ_ASSIGN_OR_RETURN(inputs[i], ExecutePlan(root->child(i), ctx));
     return Status::OK();
   };
-  if (ctx->morsels != nullptr && nc > 1) {
-    MPQ_RETURN_NOT_OK(ctx->morsels->Run(nc, 1, run_child));
-  } else {
-    for (size_t i = 0; i < nc; ++i) MPQ_RETURN_NOT_OK(run_child(i, i + 1));
-  }
+  MPQ_RETURN_NOT_OK(
+      RunMorsels(nc > 1 ? ctx->morsels : nullptr, nc, 1, run_child));
   return ExecuteNodeOnInputs(root, std::move(inputs), ctx);
 }
 

@@ -130,6 +130,16 @@ Status MorselScheduler::Run(size_t n, size_t grain,
   return rs->error_morsel == SIZE_MAX ? Status::OK() : rs->error;
 }
 
+Status RunMorsels(MorselScheduler* sched, size_t n, size_t grain,
+                  const std::function<Status(size_t, size_t)>& fn) {
+  if (sched != nullptr) return sched->Run(n, grain, fn);
+  if (grain == 0) grain = 1;
+  for (size_t begin = 0; begin < n; begin += grain) {
+    MPQ_RETURN_NOT_OK(fn(begin, std::min(begin + grain, n)));
+  }
+  return Status::OK();
+}
+
 Status SharedScanManager::Scan(
     const void* id, size_t n, size_t grain,
     const std::function<Status(size_t, size_t, size_t)>& fn) {

@@ -121,6 +121,15 @@ class MorselScheduler {
   std::shared_ptr<Registry> reg_ = std::make_shared<Registry>();
 };
 
+/// Runs `fn(begin, end)` over [0, n) in morsels of `grain` indices on
+/// `sched`, or, when `sched` is null, as an inline loop over the identical
+/// partition that stops at the first failing morsel. Callers that may or may
+/// not have a scheduler (operators, the segment codec) all go through here,
+/// so the morsel boundaries, and with them the results, never depend on
+/// which route ran.
+Status RunMorsels(MorselScheduler* sched, size_t n, size_t grain,
+                  const std::function<Status(size_t, size_t)>& fn);
+
 /// Coalesces concurrent scans over the same in-memory column payload onto
 /// one batch-claim loop. Thread-safe; one instance per service.
 class SharedScanManager {

@@ -6,15 +6,17 @@
 
 #include "common/flat_hash.h"
 #include "exec/column.h"
+#include "exec/morsel.h"
 
 namespace mpq {
 
 namespace {
 
 constexpr char kMagic[4] = {'M', 'P', 'Q', 'S'};
-/// Version 2 checksums the frame with FrameChecksum; version 1 used
-/// byte-wise FNV-1a. Every other byte is laid out identically.
-constexpr uint8_t kVersion = 2;
+/// Version 3 checksums the frame with SegmentChecksum. Versions 1 and 2
+/// differ only in their checksum, which this reader no longer computes, so
+/// their frames are refused.
+constexpr uint8_t kVersion = 3;
 /// Header: magic + version + u64 rows + u32 cols.
 constexpr size_t kHeaderSize = 4 + 1 + 8 + 4;
 /// Trailer: u64 footer offset + u64 checksum.
@@ -34,6 +36,19 @@ constexpr uint8_t kPageFor = 2;  // frame-of-reference bit-packing
 constexpr uint8_t kStringPlain = 0;
 constexpr uint8_t kStringDict = 1;
 
+/// Rows per encode morsel of a ciphertext page: a large kEnc page is written
+/// as row blocks (each block's start is known from the column's arena
+/// offsets), the other pages as one morsel each.
+constexpr size_t kEncBlockRows = 4096;
+
+/// A segment of fewer rows is coded inline even with a scheduler: waking
+/// helpers costs more than their share of so little work (most spill
+/// partitions are this small). The morsel partition, and so every byte, is
+/// the same either way.
+MorselScheduler* SchedulerFor(uint64_t rows, MorselScheduler* sched) {
+  return rows >= kEncBlockRows ? sched : nullptr;
+}
+
 void PutU8(std::string* out, uint8_t v) {
   out->push_back(static_cast<char>(v));
 }
@@ -51,24 +66,19 @@ void PutBytes(std::string* out, const std::string& s) {
   out->append(s);
 }
 
-/// Grows `out` by `n` bytes and returns where they start, so a page sized
-/// up front is written through a pointer instead of appended value by
-/// value.
-char* Extend(std::string* out, size_t n) {
-  size_t at = out->size();
-  out->resize(at + n);
-  return &(*out)[at];
-}
-
 char* WriteRaw(char* p, const void* src, size_t n) {
   if (n != 0) std::memcpy(p, src, n);  // src may be null at 0
   return p + n;
 }
 
+template <typename T>
+char* WriteVal(char* p, T v) {
+  return WriteRaw(p, &v, sizeof(v));
+}
+
 /// u32 length + bytes: 4 + s.size() bytes.
-char* WriteBytes(char* p, const std::string& s) {
-  uint32_t n = static_cast<uint32_t>(s.size());
-  p = WriteRaw(p, &n, sizeof(n));
+char* WriteBytes(char* p, std::string_view s) {
+  p = WriteVal(p, static_cast<uint32_t>(s.size()));
   return WriteRaw(p, s.data(), s.size());
 }
 
@@ -77,58 +87,74 @@ char* WriteBytes(char* p, const std::string& s) {
 constexpr size_t kEncFixed = 1 + 8 + 8 + 4;
 
 char* WriteEnc(char* p, EncView ev) {
-  *p++ = static_cast<char>(ev.scheme);
-  p = WriteRaw(p, &ev.key_id, sizeof(ev.key_id));
-  uint64_t aux = static_cast<uint64_t>(ev.aux);
-  p = WriteRaw(p, &aux, sizeof(aux));
-  uint32_t n = static_cast<uint32_t>(ev.blob.size());
-  p = WriteRaw(p, &n, sizeof(n));
-  return WriteRaw(p, ev.blob.data(), ev.blob.size());
+  p = WriteVal(p, static_cast<uint8_t>(ev.scheme));
+  p = WriteVal(p, ev.key_id);
+  p = WriteVal(p, static_cast<uint64_t>(ev.aux));
+  return WriteBytes(p, ev.blob);
 }
 
-void PutEnc(std::string* out, EncView ev) {
-  WriteEnc(Extend(out, kEncFixed + ev.blob.size()), ev);
+/// A ciphertext record's fixed part, read from the `avail` bytes at `p`.
+/// Valid when the scheme is known and the blob fits in what follows.
+struct EncHeader {
+  uint8_t scheme;
+  uint64_t key_id;
+  uint64_t aux;
+  uint32_t len;
+
+  EncKey key() const {
+    return EncKey{static_cast<EncScheme>(scheme), key_id};
+  }
+};
+
+bool ReadEncHeader(const char* p, size_t avail, EncHeader* h) {
+  if (avail < kEncFixed) return false;
+  std::memcpy(&h->scheme, p, 1);
+  std::memcpy(&h->key_id, p + 1, 8);
+  std::memcpy(&h->aux, p + 9, 8);
+  std::memcpy(&h->len, p + 17, 4);
+  return h->scheme <= static_cast<uint8_t>(EncScheme::kPaillier) &&
+         h->len <= avail - kEncFixed;
 }
 
 uint64_t Rotl(uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
 
-/// Frame checksum over 64-bit words in four interleaved lanes (word i feeds
-/// lane i % 4, so the multiplies of neighbouring words overlap). A lane
-/// step `rotl(lane + w * kP2, 31) * kP1` is a bijection in the lane for a
-/// fixed word and in the word for a fixed lane, and the final fold is a
-/// bijection in each lane for fixed others — so a change confined to one
-/// word always changes the checksum. A trailing partial word is
-/// zero-padded; the byte length is folded in last.
-uint64_t FrameChecksum(const char* data, size_t n) {
-  constexpr uint64_t kP1 = 0x9e3779b185ebca87ull;
-  constexpr uint64_t kP2 = 0xc2b2ae3d27d4eb4full;
-  auto step = [](uint64_t lane, uint64_t w) {
-    return Rotl(lane + w * kP2, 31) * kP1;
-  };
+constexpr uint64_t kP1 = 0x9e3779b185ebca87ull;
+constexpr uint64_t kP2 = 0xc2b2ae3d27d4eb4full;
+
+/// One checksum step: a bijection in `lane` for a fixed word and in `w` for
+/// a fixed lane (kP1 and kP2 are odd, and add and rotate are bijections).
+uint64_t ChecksumStep(uint64_t lane, uint64_t w) {
+  return Rotl(lane + w * kP2, 31) * kP1;
+}
+
+/// One chunk's sum over 64-bit words in four interleaved lanes (word i
+/// feeds lane i % 4, so the multiplies of neighbouring words overlap); a
+/// trailing partial word is zero-padded. The final fold is a bijection in
+/// each lane for fixed others.
+uint64_t ChunkSum(const char* data, size_t n) {
   uint64_t lane[4] = {kP1 + kP2, kP2, 0, 0 - kP1};
   const size_t words = n / 8;
   size_t i = 0;
   for (; i + 4 <= words; i += 4) {
     uint64_t w[4];
     std::memcpy(w, data + 8 * i, sizeof(w));
-    lane[0] = step(lane[0], w[0]);
-    lane[1] = step(lane[1], w[1]);
-    lane[2] = step(lane[2], w[2]);
-    lane[3] = step(lane[3], w[3]);
+    lane[0] = ChecksumStep(lane[0], w[0]);
+    lane[1] = ChecksumStep(lane[1], w[1]);
+    lane[2] = ChecksumStep(lane[2], w[2]);
+    lane[3] = ChecksumStep(lane[3], w[3]);
   }
   for (; i < words; ++i) {
     uint64_t w;
     std::memcpy(&w, data + 8 * i, sizeof(w));
-    lane[i % 4] = step(lane[i % 4], w);
+    lane[i % 4] = ChecksumStep(lane[i % 4], w);
   }
   if (n % 8 != 0) {
     uint64_t w = 0;
     std::memcpy(&w, data + 8 * words, n % 8);
-    lane[words % 4] = step(lane[words % 4], w);
+    lane[words % 4] = ChecksumStep(lane[words % 4], w);
   }
-  uint64_t h = Rotl(lane[0], 1) + Rotl(lane[1], 7) + Rotl(lane[2], 12) +
-               Rotl(lane[3], 18);
-  return HashMix64(h ^ n);
+  return Rotl(lane[0], 1) + Rotl(lane[1], 7) + Rotl(lane[2], 12) +
+         Rotl(lane[3], 18);
 }
 
 /// Bounds-checked reader over a byte range of the frame.
@@ -155,16 +181,11 @@ struct Reader {
   }
   /// A ciphertext record; the view's blob points into the frame.
   bool Enc(EncView* ev) {
-    uint8_t scheme;
-    uint64_t key_id, aux;
-    uint32_t n;
-    if (!U8(&scheme) || scheme > static_cast<uint8_t>(EncScheme::kPaillier) ||
-        !U64(&key_id) || !U64(&aux) || !U32(&n) || n > size - pos) {
-      return false;
-    }
-    *ev = EncView(EncKey{static_cast<EncScheme>(scheme), key_id},
-                  std::string_view(data + pos, n), static_cast<int64_t>(aux));
-    pos += n;
+    EncHeader h;
+    if (!ReadEncHeader(data + pos, size - pos, &h)) return false;
+    *ev = EncView(h.key(), std::string_view(data + pos + kEncFixed, h.len),
+                  static_cast<int64_t>(h.aux));
+    pos += kEncFixed + h.len;
     return true;
   }
 };
@@ -178,10 +199,9 @@ Status Corrupt() {
 /// are shifted into a 64-bit accumulator that is flushed a word at a time
 /// (the frame is little-endian, like every other field).
 template <typename T>
-void PackBits(const T* vals, size_t n, uint8_t width, std::string* out) {
-  if (width == 0) return;
+char* PackBits(const T* vals, size_t n, uint8_t width, char* p) {
+  if (width == 0) return p;
   const uint64_t mask = width == 64 ? ~0ull : (1ull << width) - 1;
-  char* p = Extend(out, (n * width + 7) / 8);
   uint64_t acc = 0;
   unsigned filled = 0;  // bits of acc in use, always < 64
   for (size_t i = 0; i < n; ++i) {
@@ -195,7 +215,7 @@ void PackBits(const T* vals, size_t n, uint8_t width, std::string* out) {
       acc = filled == 0 ? 0 : v >> (width - filled);
     }
   }
-  WriteRaw(p, &acc, (filled + 7) / 8);
+  return WriteRaw(p, &acc, (filled + 7) / 8);
 }
 
 /// Inverse of PackBits over `n` values; the caller has bounds-checked that
@@ -284,44 +304,50 @@ Int64Page PlanInt64Page(const std::vector<int64_t>& v) {
   return pg;
 }
 
-void EncodeInt64Page(const std::vector<int64_t>& v, const Int64Page& pg,
-                     std::string* out) {
+char* EncodeInt64Page(const std::vector<int64_t>& v, const Int64Page& pg,
+                      char* p) {
   size_t n = v.size();
-  PutU8(out, pg.kind);
+  p = WriteVal(p, pg.kind);
   if (pg.kind == kPageRle) {
-    PutU32(out, static_cast<uint32_t>(pg.runs));
+    p = WriteVal(p, static_cast<uint32_t>(pg.runs));
     for (size_t i = 0; i < n;) {
       size_t j = i + 1;
       while (j < n && v[j] == v[i]) ++j;
-      PutU64(out, static_cast<uint64_t>(v[i]));
-      PutU32(out, static_cast<uint32_t>(j - i));
+      p = WriteVal(p, static_cast<uint64_t>(v[i]));
+      p = WriteVal(p, static_cast<uint32_t>(j - i));
       i = j;
     }
-  } else if (pg.kind == kPageFor) {
-    PutU64(out, static_cast<uint64_t>(pg.mn));
-    PutU8(out, pg.bw);
+    return p;
+  }
+  if (pg.kind == kPageFor) {
+    p = WriteVal(p, static_cast<uint64_t>(pg.mn));
+    p = WriteVal(p, pg.bw);
     std::vector<uint64_t> deltas(n);
     for (size_t i = 0; i < n; ++i) {
       deltas[i] = static_cast<uint64_t>(v[i]) - static_cast<uint64_t>(pg.mn);
     }
-    PackBits(deltas.data(), n, pg.bw, out);
-  } else {
-    out->append(reinterpret_cast<const char*>(v.data()), 8 * n);
+    return PackBits(deltas.data(), n, pg.bw, p);
   }
+  return WriteRaw(p, v.data(), 8 * n);
 }
 
+/// Validates the page length before sizing `out`: a raw or bit-packed page
+/// must hold the bytes its row count implies, so a frame claiming far more
+/// rows than it carries is refused without the row-count-sized allocation.
 Status DecodeInt64Page(Reader* r, uint64_t num_rows,
                        std::vector<int64_t>* out) {
   uint8_t kind;
   if (!r->U8(&kind)) return Corrupt();
-  out->resize(num_rows);
   switch (kind) {
     case kPageRaw:
-      if (!r->Take(out->data(), 8 * num_rows)) return Corrupt();
+      if (num_rows > (r->size - r->pos) / 8) return Corrupt();
+      out->resize(num_rows);
+      r->Take(out->data(), 8 * num_rows);
       return Status::OK();
     case kPageRle: {
       uint32_t runs;
       if (!r->U32(&runs)) return Corrupt();
+      out->resize(num_rows);
       uint64_t i = 0;
       for (uint32_t k = 0; k < runs; ++k) {
         uint64_t value;
@@ -344,6 +370,7 @@ Status DecodeInt64Page(Reader* r, uint64_t num_rows,
       if (!r->U64(&base) || !r->U8(&bw) || bw > 64) return Corrupt();
       size_t nbytes = (num_rows * bw + 7) / 8;
       if (nbytes > r->size - r->pos) return Corrupt();
+      out->resize(num_rows);
       // Deltas unpack in place (int64_t and uint64_t may alias).
       auto* deltas = reinterpret_cast<uint64_t*>(out->data());
       UnpackBits(reinterpret_cast<const uint8_t*>(r->data + r->pos),
@@ -397,41 +424,52 @@ Status PlanStringPage(const ColumnData& d, StringPage* pg) {
   return Status::OK();
 }
 
-void EncodeStringPage(const ColumnData& d, const StringPage& pg,
-                      std::string* out) {
+char* EncodeStringPage(const ColumnData& d, const StringPage& pg, char* p) {
   if (pg.dict) {
-    PutU8(out, kStringDict);
-    PutU32(out, static_cast<uint32_t>(pg.values.size()));
-    for (uint32_t row : pg.values) PutBytes(out, d.str()[row]);
-    PutU8(out, pg.code_bits);
-    PackBits(pg.codes.data(), pg.codes.size(), pg.code_bits, out);
-  } else {
-    PutU8(out, kStringPlain);
-    char* p = Extend(out, pg.len - 1);
-    for (const std::string& s : d.str()) p = WriteBytes(p, s);
+    p = WriteVal(p, kStringDict);
+    p = WriteVal(p, static_cast<uint32_t>(pg.values.size()));
+    for (uint32_t row : pg.values) p = WriteBytes(p, d.str()[row]);
+    p = WriteVal(p, pg.code_bits);
+    return PackBits(pg.codes.data(), pg.codes.size(), pg.code_bits, p);
   }
+  p = WriteVal(p, kStringPlain);
+  for (const std::string& s : d.str()) p = WriteBytes(p, s);
+  return p;
 }
 
-/// Ciphertext page: one record per row, straight from the column's arena;
-/// a NULL row's record is the default ciphertext (RND, key 0, count 1, no
-/// blob).
-void EncodeEncPage(const ColumnData& d, std::string* out) {
+/// Ciphertext page rows [begin, end): one record per row, straight from the
+/// column's arena; a NULL row's record is the default ciphertext (RND, key
+/// 0, count 1, no blob). Record i starts kEncFixed * i + BlobOffset(i)
+/// bytes into the page (a NULL row's arena slot is empty), so row blocks
+/// are written independently.
+char* EncodeEncRows(const ColumnData& d, size_t begin, size_t end, char* p) {
   const EncArena& a = d.enc();
-  char* p = Extend(out, kEncFixed * d.size() + a.bytes());
-  for (size_t i = 0; i < d.size(); ++i) {
+  for (size_t i = begin; i < end; ++i) {
     p = WriteEnc(p, d.IsNull(i) ? EncView() : a.At(i));
   }
+  return p;
+}
+
+/// Heterogeneous fallback page: per row a u8 tag, then the ciphertext
+/// record or the serialized plaintext value.
+char* EncodeCellPage(const ColumnData& d, char* p) {
+  for (const Cell& cell : d.cells()) {
+    p = WriteVal(p, static_cast<uint8_t>(cell.is_encrypted() ? 1 : 0));
+    p = cell.is_encrypted() ? WriteEnc(p, cell.enc())
+                            : WriteBytes(p, cell.plain().Serialize());
+  }
+  return p;
 }
 
 /// Null mask bit-packing (1 = NULL), (rows + 7) / 8 bytes.
-void EncodeNullMask(const ColumnData& d, std::string* out) {
+char* EncodeNullMask(const ColumnData& d, char* p) {
   size_t n = d.size();
-  size_t start = out->size();
-  out->append((n + 7) / 8, '\0');
-  auto* bytes = reinterpret_cast<uint8_t*>(&(*out)[start]);
+  auto* bytes = reinterpret_cast<uint8_t*>(p);
+  std::memset(bytes, 0, (n + 7) / 8);
   for (size_t i = 0; i < n; ++i) {
     if (d.IsNull(i)) bytes[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
   }
+  return p + (n + 7) / 8;
 }
 
 bool CellIsNull(const Cell& c) {
@@ -529,6 +567,62 @@ void ClearMasked(const std::vector<uint8_t>& nulls, std::vector<T>* vals) {
   }
 }
 
+/// Decodes a ciphertext page into one arena in two passes. The first
+/// validates every record header and builds the blob offsets, plus per-row
+/// keys and counts only from the first row that departs from the column's
+/// — what Push would keep. The second copies the blobs into an arena sized
+/// once. A NULL row's record is validated, then dropped: its slot is the
+/// null slot AppendNull leaves.
+Status DecodeEncPage(Reader* r, uint64_t num_rows, std::vector<uint8_t> nulls,
+                     ColumnData* out) {
+  const char* page = r->data + r->pos;
+  const size_t avail = r->size - r->pos;
+  if (num_rows > avail / kEncFixed) return Corrupt();
+  std::vector<uint32_t> off(num_rows + 1);
+  std::optional<EncKey> key;
+  std::vector<EncKey> keys;
+  std::vector<int64_t> aux;
+  size_t pos = 0;
+  for (uint64_t i = 0; i < num_rows; ++i) {
+    EncHeader h;
+    if (!ReadEncHeader(page + pos, avail - pos, &h)) return Corrupt();
+    pos += kEncFixed + h.len;
+    if (!nulls.empty() && nulls[i] != 0) {
+      off[i + 1] = off[i];
+      if (!keys.empty()) keys.push_back(*key);
+      if (!aux.empty()) aux.push_back(1);
+      continue;
+    }
+    const EncKey k = h.key();
+    if (!key.has_value()) key = k;
+    if (!keys.empty() || k != *key) {
+      if (keys.empty()) keys.assign(i, *key);
+      keys.push_back(k);
+    }
+    const auto a = static_cast<int64_t>(h.aux);
+    if (!aux.empty() || a != 1) {
+      if (aux.empty()) aux.assign(i, 1);
+      aux.push_back(a);
+    }
+    if (h.len > EncArena::kMaxBytes - off[i]) return Corrupt();
+    off[i + 1] = off[i] + h.len;
+  }
+  EncArena arena =
+      EncArena::Sized(key, std::move(off), std::move(keys), std::move(aux));
+  pos = 0;
+  for (uint64_t i = 0; i < num_rows; ++i) {
+    uint32_t len;
+    std::memcpy(&len, page + pos + kEncFixed - sizeof(len), sizeof(len));
+    if (nulls.empty() || nulls[i] == 0) {
+      WriteRaw(arena.Slot(i), page + pos + kEncFixed, len);
+    }
+    pos += kEncFixed + len;
+  }
+  r->pos += pos;
+  out->Adopt(std::move(arena), std::move(nulls));
+  return Status::OK();
+}
+
 /// Decodes one column page into `out` a column at a time: each typed rep
 /// is built as one vector and adopted together with its null mask.
 Status DecodeColumnPage(Reader* r, ColumnRep rep, uint64_t num_rows,
@@ -587,24 +681,8 @@ Status DecodeColumnPage(Reader* r, ColumnRep rep, uint64_t num_rows,
       out->Adopt(std::move(vals), std::move(nulls));
       return Status::OK();
     }
-    case ColumnRep::kEnc: {
-      if (num_rows > (r->size - r->pos) / kEncFixed) return Corrupt();
-      // One arena for the column: a well-formed page's blobs fill exactly
-      // what its fixed-size record headers leave. A NULL row's record is
-      // validated, then dropped.
-      *out = ColumnData(ColumnRep::kEnc);
-      out->Reserve(num_rows, r->size - r->pos - kEncFixed * num_rows);
-      for (uint64_t i = 0; i < num_rows; ++i) {
-        EncView ev;
-        if (!r->Enc(&ev)) return Corrupt();
-        if (!nulls.empty() && nulls[i] != 0) {
-          out->AppendNull();
-        } else {
-          out->AppendEnc(ev);
-        }
-      }
-      return Status::OK();
-    }
+    case ColumnRep::kEnc:
+      return DecodeEncPage(r, num_rows, std::move(nulls), out);
     case ColumnRep::kCell: {
       // The fallback rep holds NULLs as null cells; a mask on it (which the
       // encoder never writes) is ignored.
@@ -631,52 +709,142 @@ Status DecodeColumnPage(Reader* r, ColumnRep rep, uint64_t num_rows,
   return Corrupt();
 }
 
+/// One column's encoding, planned (and so sized) before any byte is
+/// written.
+struct PagePlan {
+  SegmentZone zone;
+  uint64_t offset = 0;
+  uint64_t mask_len = 0;  ///< null mask bytes
+  uint64_t len = 0;       ///< null mask + page bytes
+  Int64Page i64;
+  StringPage str;
+};
+
+Status PlanPage(const ExecColumn& col, const ColumnData& d, PagePlan* pg) {
+  const size_t n = d.size();
+  pg->zone = ComputeZone(col, d);
+  pg->mask_len = d.has_nulls() ? (n + 7) / 8 : 0;
+  pg->len = pg->mask_len;
+  switch (d.rep()) {
+    case ColumnRep::kInt64:
+      pg->i64 = PlanInt64Page(d.i64());
+      pg->len += pg->i64.len;
+      break;
+    case ColumnRep::kDouble:
+      pg->len += 8 * n;
+      break;
+    case ColumnRep::kString:
+      MPQ_RETURN_NOT_OK(PlanStringPage(d, &pg->str));
+      pg->len += pg->str.len;
+      break;
+    case ColumnRep::kEnc:
+      pg->len += kEncFixed * n + d.enc().bytes();
+      break;
+    case ColumnRep::kCell:
+      for (const Cell& cell : d.cells()) {
+        pg->len += 1 + (cell.is_encrypted()
+                            ? kEncFixed + cell.enc().blob.size()
+                            : 4 + cell.plain().Serialize().size());
+      }
+      break;
+  }
+  return Status::OK();
+}
+
+/// One encode morsel: rows [begin, end) of column `col`'s page. Only kEnc
+/// pages are split; the part holding row 0 also writes the null mask.
+struct PagePart {
+  size_t col;
+  size_t begin;
+  size_t end;
+};
+
+/// Writes `part` into its byte range of `frame`, disjoint from every other
+/// part's, so parts run concurrently.
+void WritePagePart(const ColumnData& d, const PagePlan& pg,
+                   const PagePart& part, char* frame) {
+  char* p = frame + pg.offset;
+  if (part.begin == 0 && pg.mask_len > 0) EncodeNullMask(d, p);
+  p += pg.mask_len;
+  switch (d.rep()) {
+    case ColumnRep::kInt64:
+      p = EncodeInt64Page(d.i64(), pg.i64, p);
+      break;
+    case ColumnRep::kDouble:
+      p = WriteRaw(p, d.f64().data(), 8 * d.size());
+      break;
+    case ColumnRep::kString:
+      p = EncodeStringPage(d, pg.str, p);
+      break;
+    case ColumnRep::kEnc: {
+      const EncArena& a = d.enc();
+      p += kEncFixed * part.begin + a.BlobOffset(part.begin);
+      p = EncodeEncRows(d, part.begin, part.end, p);
+      assert(p == frame + pg.offset + pg.mask_len + kEncFixed * part.end +
+                      a.BlobOffset(part.end));
+      return;
+    }
+    case ColumnRep::kCell:
+      p = EncodeCellPage(d, p);
+      break;
+  }
+  assert(p == frame + pg.offset + pg.len);
+}
+
 }  // namespace
 
-Result<std::string> EncodeSegment(const Table& t) {
-  // Every page is planned, and so sized, before any byte is written: the
-  // frame is allocated once and page offsets are known up front.
-  struct Page {
-    SegmentZone zone;
-    uint64_t offset = 0;
-    uint64_t len = 0;  ///< null mask + page bytes
-    Int64Page i64;
-    StringPage str;
-  };
-  const size_t num_cols = t.num_columns();
-  std::vector<Page> pages(num_cols);
-  uint64_t offset = kHeaderSize;
-  for (size_t c = 0; c < num_cols; ++c) {
-    const ColumnData& d = t.col(c);
-    const size_t n = d.size();
-    Page& pg = pages[c];
-    pg.zone = ComputeZone(t.columns()[c], d);
-    pg.len = d.has_nulls() ? (n + 7) / 8 : 0;
-    switch (d.rep()) {
-      case ColumnRep::kInt64:
-        pg.i64 = PlanInt64Page(d.i64());
-        pg.len += pg.i64.len;
-        break;
-      case ColumnRep::kDouble:
-        pg.len += 8 * n;
-        break;
-      case ColumnRep::kString:
-        MPQ_RETURN_NOT_OK(PlanStringPage(d, &pg.str));
-        pg.len += pg.str.len;
-        break;
-      case ColumnRep::kEnc:
-        pg.len += kEncFixed * n + d.enc().bytes();
-        break;
-      case ColumnRep::kCell:
-        for (const Cell& cell : d.cells()) {
-          pg.len += 1 + (cell.is_encrypted()
-                             ? kEncFixed + cell.enc().blob.size()
-                             : 4 + cell.plain().Serialize().size());
-        }
-        break;
+uint64_t SegmentChecksum(const char* data, size_t n, MorselScheduler* sched) {
+  // Any change confined to one 64-bit word is detected. Chunks start at
+  // multiples of kSegmentChecksumChunk, itself a multiple of 8, so such a
+  // word (the zero-padded partial tail word included) lies in exactly one
+  // chunk. In that chunk it feeds one lane step, a bijection in the word;
+  // the lane's later steps are bijections in the lane, and the lane fold a
+  // bijection in each lane — so the chunk's sum changes. The chunk fold
+  // `ChecksumStep(h, sum)` is a bijection in the sum for a fixed h and in h
+  // for a fixed sum, and HashMix64 is a bijection: the checksum changes.
+  const size_t chunks =
+      (n + kSegmentChecksumChunk - 1) / kSegmentChecksumChunk;
+  std::vector<uint64_t> sums(chunks);
+  (void)RunMorsels(sched, chunks, 1, [&](size_t begin, size_t end) {
+    for (size_t k = begin; k < end; ++k) {
+      const size_t at = k * kSegmentChecksumChunk;
+      sums[k] = ChunkSum(data + at, std::min(kSegmentChecksumChunk, n - at));
     }
-    pg.offset = offset;
-    offset += pg.len;
+    return Status::OK();
+  });
+  uint64_t h = kP1 + kP2;
+  for (uint64_t sum : sums) h = ChecksumStep(h, sum);
+  return HashMix64(h ^ n);
+}
+
+Result<std::string> EncodeSegment(const Table& t, MorselScheduler* sched) {
+  // Every page is planned, and so sized, before any byte is written (one
+  // morsel per column): the frame is allocated once, page offsets are known
+  // up front, and the pages are then written straight into their disjoint
+  // byte ranges of it, again as morsels.
+  sched = SchedulerFor(t.num_rows(), sched);
+  const size_t num_cols = t.num_columns();
+  std::vector<PagePlan> pages(num_cols);
+  MPQ_RETURN_NOT_OK(
+      RunMorsels(sched, num_cols, 1, [&](size_t begin, size_t end) -> Status {
+        for (size_t c = begin; c < end; ++c) {
+          MPQ_RETURN_NOT_OK(PlanPage(t.columns()[c], t.col(c), &pages[c]));
+        }
+        return Status::OK();
+      }));
+  uint64_t offset = kHeaderSize;
+  std::vector<PagePart> parts;
+  for (size_t c = 0; c < num_cols; ++c) {
+    pages[c].offset = offset;
+    offset += pages[c].len;
+    const size_t n = t.col(c).size();
+    const bool split = t.col(c).rep() == ColumnRep::kEnc;
+    const size_t block = split ? kEncBlockRows : std::max<size_t>(n, 1);
+    size_t begin = 0;
+    do {
+      parts.push_back({c, begin, std::min(begin + block, n)});
+      begin += block;
+    } while (begin < n);
   }
 
   const uint64_t footer_offset = offset;
@@ -684,7 +852,7 @@ Result<std::string> EncodeSegment(const Table& t) {
   for (size_t c = 0; c < num_cols; ++c) {
     const ExecColumn& col = t.columns()[c];
     const ColumnData& d = t.col(c);
-    const Page& pg = pages[c];
+    const PagePlan& pg = pages[c];
     PutU32(&footer, col.attr);
     PutBytes(&footer, col.name);
     PutU8(&footer, static_cast<uint8_t>(col.type));
@@ -705,45 +873,23 @@ Result<std::string> EncodeSegment(const Table& t) {
   }
 
   std::string out;
-  out.reserve(footer_offset + footer.size() + kTrailerSize);
-  out.append(kMagic, sizeof(kMagic));
-  PutU8(&out, kVersion);
-  PutU64(&out, t.num_rows());
-  PutU32(&out, static_cast<uint32_t>(num_cols));
-  for (size_t c = 0; c < num_cols; ++c) {
-    const ColumnData& d = t.col(c);
-    const Page& pg = pages[c];
-    if (d.has_nulls()) EncodeNullMask(d, &out);
-    switch (d.rep()) {
-      case ColumnRep::kInt64:
-        EncodeInt64Page(d.i64(), pg.i64, &out);
-        break;
-      case ColumnRep::kDouble:
-        out.append(reinterpret_cast<const char*>(d.f64().data()),
-                   8 * d.size());
-        break;
-      case ColumnRep::kString:
-        EncodeStringPage(d, pg.str, &out);
-        break;
-      case ColumnRep::kEnc:
-        EncodeEncPage(d, &out);
-        break;
-      case ColumnRep::kCell:
-        for (const Cell& cell : d.cells()) {
-          PutU8(&out, cell.is_encrypted() ? 1 : 0);
-          if (cell.is_encrypted()) {
-            PutEnc(&out, cell.enc());
-          } else {
-            PutBytes(&out, cell.plain().Serialize());
-          }
+  out.resize(footer_offset + footer.size() + kTrailerSize);
+  char* frame = &out[0];
+  char* p = WriteRaw(frame, kMagic, sizeof(kMagic));
+  p = WriteVal(p, kVersion);
+  p = WriteVal(p, static_cast<uint64_t>(t.num_rows()));
+  WriteVal(p, static_cast<uint32_t>(num_cols));
+  MPQ_RETURN_NOT_OK(
+      RunMorsels(sched, parts.size(), 1, [&](size_t begin, size_t end) {
+        for (size_t k = begin; k < end; ++k) {
+          const size_t c = parts[k].col;
+          WritePagePart(t.col(c), pages[c], parts[k], frame);
         }
-        break;
-    }
-    assert(out.size() == pg.offset + pg.len);
-  }
-  out.append(footer);
-  PutU64(&out, footer_offset);
-  PutU64(&out, FrameChecksum(out.data(), out.size()));
+        return Status::OK();
+      }));
+  p = WriteRaw(frame + footer_offset, footer.data(), footer.size());
+  p = WriteVal(p, footer_offset);
+  WriteVal(p, SegmentChecksum(frame, out.size() - 8, sched));
   return out;
 }
 
@@ -772,7 +918,8 @@ bool ZoneMayMatch(const SegmentZone& z, CmpOp op, const Value& v) {
   return true;
 }
 
-Result<SegmentReader> SegmentReader::Open(std::string bytes) {
+Result<SegmentReader> SegmentReader::Open(std::string bytes,
+                                           MorselScheduler* sched) {
   SegmentReader sr;
   sr.bytes_ = std::move(bytes);
   const std::string& b = sr.bytes_;
@@ -792,7 +939,9 @@ Result<SegmentReader> SegmentReader::Open(std::string bytes) {
 
   uint64_t stored_sum;
   std::memcpy(&stored_sum, b.data() + b.size() - 8, 8);
-  if (FrameChecksum(b.data(), b.size() - 8) != stored_sum) return Corrupt();
+  if (SegmentChecksum(b.data(), b.size() - 8, sched) != stored_sum) {
+    return Corrupt();
+  }
 
   uint32_t num_cols;
   if (!r.U64(&sr.num_rows_) || !r.U32(&num_cols)) return Corrupt();
@@ -851,20 +1000,30 @@ Result<SegmentReader> SegmentReader::Open(std::string bytes) {
   return sr;
 }
 
-Result<Table> SegmentReader::Decode() const {
+Result<Table> SegmentReader::Decode(MorselScheduler* sched) const {
+  // One morsel per column page; the lowest failing column's Status wins, as
+  // in a column-by-column loop.
+  std::vector<ColumnData> cols(entries_.size());
+  MPQ_RETURN_NOT_OK(RunMorsels(
+      SchedulerFor(num_rows_, sched), entries_.size(), 1, [&](size_t begin, size_t end) -> Status {
+        for (size_t c = begin; c < end; ++c) {
+          const ColumnEntry& e = entries_[c];
+          Reader r{bytes_.data() + e.page_offset,
+                   static_cast<size_t>(e.page_len)};
+          std::vector<uint8_t> nulls;
+          if (e.has_nulls && !DecodeNullMask(&r, num_rows_, &nulls)) {
+            return Corrupt();
+          }
+          MPQ_RETURN_NOT_OK(DecodeColumnPage(&r, static_cast<ColumnRep>(e.rep),
+                                             num_rows_, std::move(nulls),
+                                             &cols[c]));
+          if (r.pos != r.size || cols[c].size() != num_rows_) return Corrupt();
+        }
+        return Status::OK();
+      }));
   Table t;
-  for (size_t c = 0; c < entries_.size(); ++c) {
-    const ColumnEntry& e = entries_[c];
-    Reader r{bytes_.data() + e.page_offset, static_cast<size_t>(e.page_len)};
-    std::vector<uint8_t> nulls;
-    if (e.has_nulls && !DecodeNullMask(&r, num_rows_, &nulls)) {
-      return Corrupt();
-    }
-    ColumnData d;
-    MPQ_RETURN_NOT_OK(DecodeColumnPage(&r, static_cast<ColumnRep>(e.rep),
-                                       num_rows_, std::move(nulls), &d));
-    if (r.pos != r.size || d.size() != num_rows_) return Corrupt();
-    t.AddColumn(columns_[c], std::move(d));
+  for (size_t c = 0; c < cols.size(); ++c) {
+    t.AddColumn(columns_[c], std::move(cols[c]));
   }
   if (entries_.empty()) t.num_rows_ = num_rows_;
   return t;

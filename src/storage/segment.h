@@ -7,10 +7,19 @@
 // min/max zone map over the non-null plaintext values. The footer is
 // readable without touching any page, so scans consult zone maps first and
 // skip whole segments that provably contain no qualifying row; a trailing
-// checksum over 64-bit words rejects torn or bit-flipped segments before
-// any decode (it always detects a change confined to one word, so every
-// single-bit flip). Encoding and decoding work a column at a time: each
-// decoded column is one typed vector plus its null mask.
+// checksum rejects torn or bit-flipped segments before any decode. Frame
+// version 3 computes it over fixed 1 MiB chunks of 64-bit words and folds
+// the chunk sums in chunk order; it always detects a change confined to
+// one word, so every single-bit flip.
+//
+// The codec runs on the caller's MorselScheduler (inline without one, over
+// the same partition, so the bytes never depend on the thread count).
+// Encoding plans every column's page as a morsel, sizes the frame once,
+// then writes the pages into their disjoint byte ranges as morsels, a large
+// ciphertext page as row blocks. The checksum chunks are morsels too.
+// Decoding builds one column per morsel: each typed rep as one vector plus
+// its null mask, a ciphertext page in bulk into one arena. Segments under
+// 4096 rows are coded inline even with a scheduler.
 //
 // Segments serve three roles: the spill format of the byte-budgeted
 // out-of-core join/group-by paths, the compressed wire encoding of
@@ -34,6 +43,8 @@
 
 namespace mpq {
 
+class MorselScheduler;
+
 /// Per-column statistics of one segment, read from the footer without
 /// decoding the page. `min`/`max` cover only the non-null rows and are
 /// populated only for plaintext typed columns (never for ciphertexts, the
@@ -48,10 +59,23 @@ struct SegmentZone {
   uint64_t num_rows = 0;
 };
 
-/// Encodes `t` as one compressed segment. Deterministic: the same table
-/// always produces the same bytes, so segment frames (and their byte
+/// Bytes per checksum chunk: a format constant (a multiple of 8), never a
+/// setting, since it decides the checksum's value.
+constexpr size_t kSegmentChecksumChunk = size_t{1} << 20;
+
+/// The frame checksum of version 3 over data[0, n): a word-wise sum per
+/// kSegmentChecksumChunk-byte chunk, computed as morsels on `sched` (inline
+/// when null), then folded in chunk order. Detects any change confined to
+/// one 64-bit word. A frame's trailer holds it over every byte before it.
+uint64_t SegmentChecksum(const char* data, size_t n,
+                         MorselScheduler* sched = nullptr);
+
+/// Encodes `t` as one compressed segment, planning and writing the column
+/// pages as morsels on `sched` (inline when null). Deterministic: the same
+/// table always produces the same bytes, so segment frames (and their byte
 /// counts) are identical at any thread count.
-Result<std::string> EncodeSegment(const Table& t);
+Result<std::string> EncodeSegment(const Table& t,
+                                  MorselScheduler* sched = nullptr);
 
 /// Conservative zone-map test: false only when NO row of the segment can
 /// satisfy `op` against the constant `v` under the engine's comparison
@@ -67,8 +91,10 @@ class SegmentReader {
  public:
   /// Validates the frame and parses the footer. Any malformed input —
   /// truncation, bit flips, out-of-range offsets or enums — returns a
-  /// Status; no page is touched yet.
-  static Result<SegmentReader> Open(std::string bytes);
+  /// Status; no page is touched yet. The checksum chunks run as morsels on
+  /// `sched` (inline when null).
+  static Result<SegmentReader> Open(std::string bytes,
+                                    MorselScheduler* sched = nullptr);
 
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }
@@ -81,10 +107,11 @@ class SegmentReader {
   /// Encoded frame size in bytes (the bytes-on-wire of this segment).
   size_t encoded_size() const { return bytes_.size(); }
 
-  /// Decodes every column page into a table. The result round-trips: for a
-  /// table built through the normal append paths,
-  /// Decode(EncodeSegment(t)) serializes bit-identically to t.
-  Result<Table> Decode() const;
+  /// Decodes every column page into a table, one page per morsel on
+  /// `sched` (inline when null). The result round-trips: for a table built
+  /// through the normal append paths, Decode(EncodeSegment(t)) serializes
+  /// bit-identically to t.
+  Result<Table> Decode(MorselScheduler* sched = nullptr) const;
 
  private:
   struct ColumnEntry {

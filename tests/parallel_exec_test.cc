@@ -12,6 +12,7 @@
 #include "exec/distributed.h"
 #include "exec/executor.h"
 #include "exec/morsel.h"
+#include "net/simnet.h"
 #include "paper_example.h"
 
 namespace mpq {
@@ -74,8 +75,10 @@ class ParallelExecTest : public ::testing::Test {
   }
 
   /// Runs the Fig 7(a) encrypted extended plan end-to-end with `threads`
-  /// workers (0 = no pool).
-  DistributedResult RunDistributed(const ExtendedPlan& ext, size_t threads) {
+  /// workers (0 = no pool), over `net` when given (every crossing edge then
+  /// travels as an encoded segment frame).
+  DistributedResult RunDistributed(const ExtendedPlan& ext, size_t threads,
+                                   SimNet* net = nullptr) {
     DistributedRuntime rt(&ex_->catalog, &ex_->subjects);
     rt.LoadTable(ex_->hosp, ex_->HospData());
     rt.LoadTable(ex_->ins, ex_->InsData());
@@ -87,6 +90,7 @@ class ParallelExecTest : public ::testing::Test {
     ThreadPool pool(threads);
     MorselScheduler sched(&pool);
     rt.SetScheduler(threads > 0 ? &sched : nullptr);
+    rt.SetNetwork(net);
     Result<DistributedResult> r = rt.Run(ext, ex_->U);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return r.ok() ? std::move(r).value() : DistributedResult();
@@ -155,6 +159,25 @@ TEST_F(ParallelExecTest, DistributedDeterministicAcrossThreadCounts) {
       EXPECT_EQ(it->second.bytes_in, jt->second.bytes_in);
       EXPECT_EQ(it->second.bytes_out, jt->second.bytes_out);
     }
+  }
+}
+
+TEST_F(ParallelExecTest, SegmentWireDeterministicAcrossThreadCounts) {
+  // Over a SimNet each crossing edge is encoded, checksummed, verified and
+  // decoded on the runtime's scheduler: the result and the wire bytes must
+  // not depend on the thread count.
+  Result<ExtendedPlan> ext = Fig7aExtended();
+  ASSERT_TRUE(ext.ok()) << ext.status().ToString();
+  SimNet ref_net(&ex_->subjects);
+  DistributedResult reference = RunDistributed(*ext, 0, &ref_net);
+  ASSERT_EQ(reference.result.num_rows(), 1u);
+  ASSERT_GT(reference.total_transfer_bytes, 0u);
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    SimNet net(&ex_->subjects);
+    DistributedResult r = RunDistributed(*ext, threads, &net);
+    ExpectTablesIdentical(reference.result, r.result, "segment wire");
+    EXPECT_EQ(reference.total_transfer_bytes, r.total_transfer_bytes)
+        << threads << " threads";
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -98,6 +99,30 @@ TEST(ThreadPoolTest, SubmitDuringShutdownRunsOrRejectsCleanly) {
     // pick up stragglers they enqueued and reject the ones it closed out.
     pool.reset();
     EXPECT_EQ(executed.load(), accepted.load()) << "round " << round;
+  }
+}
+
+TEST(ThreadPoolTest, SubmitToIdleWorkerAlwaysRuns) {
+  // Liveness of a single submit to an idle pool: the caller never helps, so
+  // a wakeup lost between the worker's predicate test and its block would
+  // leave the task queued until the deadline. Each round waits for the
+  // previous task, then spins a varying moment so the submit lands at
+  // different points of the worker's path back to sleep.
+  using Clock = std::chrono::steady_clock;
+  ThreadPool pool(1);
+  for (int round = 0; round < 2000; ++round) {
+    auto done = std::make_shared<std::atomic<bool>>(false);
+    const auto submit_at =
+        Clock::now() + std::chrono::nanoseconds((round % 64) * 250);
+    while (Clock::now() < submit_at) {
+    }
+    ASSERT_TRUE(pool.Submit([done] { done->store(true); }));
+    const auto deadline = Clock::now() + std::chrono::seconds(10);
+    while (!done->load()) {
+      ASSERT_LT(Clock::now(), deadline)
+          << "round " << round << ": submitted task never ran";
+      std::this_thread::yield();
+    }
   }
 }
 
