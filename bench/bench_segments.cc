@@ -1,5 +1,7 @@
 // Storage-segment benchmarks: (1) compression ratio of the segment codec
-// over the v2 column wire format, per TPC-H column; (2) scan throughput
+// over the v2 column wire format, per TPC-H column, and the bytes per cell
+// of each column's ciphertext page under every scheme it admits; (2) scan
+// throughput
 // with and without zone-map segment skipping on shipdate-clustered
 // lineitem; (3) a budget-forced spill-to-disk join against the in-memory
 // hash join, verified bit-identical; (4) bytes-on-wire of the distributed
@@ -8,8 +10,9 @@
 //
 // Emits BENCH_segments.json (override with --json <path>). The process
 // exits nonzero unless every differential verifies, string/dict columns
-// compress >= 2x, and the spill run recursed through >= 2 partition
-// generations.
+// compress >= 2x, a single-key ciphertext page whose blobs share one length
+// costs <= 1 B per cell beyond the blob, and the spill run recursed through
+// >= 2 partition generations.
 
 #include <algorithm>
 #include <chrono>
@@ -24,6 +27,8 @@
 
 #include "algebra/plan_builder.h"
 #include "bench_json.h"
+#include "crypto/column_codec.h"
+#include "crypto/keyring.h"
 #include "exec/executor.h"
 #include "exec/failover.h"
 #include "exec/morsel.h"
@@ -160,6 +165,93 @@ int main(int argc, char** argv) {
   ok = ok && compression_gate;
   std::printf("\nworst string/dict column ratio: %.2fx (floor 2.00x) %s\n\n",
               min_string_ratio, compression_gate ? "" : "FAIL");
+
+  // Each TPC-H column encrypted under RND and DET, and OPE and HOM when
+  // numeric (those two take numbers only), as one single-key ciphertext
+  // page: page bytes per cell against blob bytes per cell, decode verified
+  // bit-identical. The gate takes the worst column whose blobs share one
+  // length: the page may cost at most 1 B per cell beyond the blob.
+  std::printf("%-18s page bytes per cell (+ beyond the blob) by scheme\n",
+              "column");
+  KeyMaterial km = MakeKeyMaterial(/*seed=*/5, /*key_id=*/1);
+  ColumnCodec codec(km);
+  double max_uniform_overhead = 0;
+  w.Key("ciphertext").BeginArray();
+  for (RelId rel : {env.lineitem, env.orders, env.part}) {
+    const Table& t = db.at(rel);
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      const ColumnData& src = t.col(c);
+      const bool numeric = t.columns()[c].type != DataType::kString;
+      std::printf("%-18s", t.columns()[c].name.c_str());
+      for (EncScheme scheme :
+           {EncScheme::kRandom, EncScheme::kDeterministic, EncScheme::kOpe,
+            EncScheme::kPaillier}) {
+        const bool sym = scheme == EncScheme::kRandom ||
+                         scheme == EncScheme::kDeterministic;
+        if (!sym && !numeric) continue;
+        ExecColumn col = t.columns()[c];
+        col.encrypted = true;
+        col.scheme = scheme;
+        col.key_id = 1;
+        Result<EncArena> arena = codec.SizeEncrypt(src, scheme);
+        Status st = arena.ok() ? codec.EncryptSpan(src, 0, src.size(), scheme,
+                                                   /*nonce_base=*/1, &*arena)
+                               : arena.status();
+        Result<std::string> enc = st;
+        Table one;
+        if (st.ok()) {
+          ColumnData d;
+          d.Adopt(std::move(*arena));
+          one.AddColumn(col, std::move(d));
+          enc = EncodeSegment(one);
+        }
+        Result<SegmentReader> rd =
+            enc.ok() ? SegmentReader::Open(*enc) : enc.status();
+        Result<Table> back = rd.ok() ? rd->Decode() : rd.status();
+        if (!back.ok()) {
+          std::printf(" %s error: %s", EncSchemeName(scheme),
+                      back.status().ToString().c_str());
+          ok = false;
+          continue;
+        }
+        bool verified = back->SerializeColumns() == one.SerializeColumns();
+        ok = ok && verified;
+        const EncArena& a = one.col(0).enc();
+        bool uniform = true;
+        for (size_t r = 1; r < a.size(); ++r) {
+          uniform = uniform && a.blob(r).size() == a.blob(0).size();
+        }
+        const auto rows = static_cast<double>(std::max<size_t>(a.size(), 1));
+        const double per_cell = static_cast<double>(rd->page_bytes(0)) / rows;
+        const double blob_per_cell = static_cast<double>(a.bytes()) / rows;
+        const double overhead = per_cell - blob_per_cell;
+        if (uniform) {
+          max_uniform_overhead = std::max(max_uniform_overhead, overhead);
+        }
+        std::printf("  %s %.3f (+%.3f%s)%s", EncSchemeName(scheme), per_cell,
+                    overhead, uniform ? "" : " varied",
+                    verified ? "" : " DECODE MISMATCH");
+        w.BeginObject();
+        w.Key("column").String(col.name);
+        w.Key("scheme").String(EncSchemeName(scheme));
+        w.Key("page_bytes").UInt(rd->page_bytes(0));
+        w.Key("bytes_per_cell").Double(per_cell);
+        w.Key("blob_bytes_per_cell").Double(blob_per_cell);
+        w.Key("uniform_lengths").Bool(uniform);
+        w.Key("verified").Bool(verified);
+        w.EndObject();
+      }
+      std::printf("\n");
+    }
+  }
+  w.EndArray();
+  w.Key("max_uniform_enc_overhead_bytes").Double(max_uniform_overhead);
+  bool enc_gate = max_uniform_overhead <= 1.0;
+  ok = ok && enc_gate;
+  std::printf(
+      "\nworst single-key uniform ciphertext page: %.3f B per cell beyond "
+      "the blob (ceiling 1.000) %s\n\n",
+      max_uniform_overhead, enc_gate ? "" : "FAIL");
 
   // --------------------------------------------------------- zone scan ---
   // lineitem clustered on l_shipdate, segmented at 4096 rows: a range scan

@@ -65,6 +65,14 @@ class EncArena {
   size_t bytes() const { return bytes_.size(); }
   /// Whether rows are under more than one key.
   bool mixed_keys() const { return !keys_.empty(); }
+  /// Whether some row's Paillier count is not 1.
+  bool has_aux() const { return !aux_.empty(); }
+  /// The column key: that of the first non-null row (nullopt before one).
+  std::optional<EncKey> key() const {
+    return keyed_ ? std::optional<EncKey>(key_) : std::nullopt;
+  }
+  /// Every blob back to back: row i's at data() + BlobOffset(i).
+  const char* data() const { return bytes_.data(); }
 
   std::string_view blob(size_t i) const {
     return std::string_view(bytes_.data() + off_[i], off_[i + 1] - off_[i]);

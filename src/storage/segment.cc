@@ -13,10 +13,11 @@ namespace mpq {
 namespace {
 
 constexpr char kMagic[4] = {'M', 'P', 'Q', 'S'};
-/// Version 3 checksums the frame with SegmentChecksum. Versions 1 and 2
-/// differ only in their checksum, which this reader no longer computes, so
-/// their frames are refused.
-constexpr uint8_t kVersion = 3;
+/// Version 4 writes ciphertext pages with the column's (scheme, key) once
+/// per page (EncPage). Version 3 wrote a record per ciphertext, and
+/// versions 1 and 2 differ from it only in their checksum; their frames are
+/// refused.
+constexpr uint8_t kVersion = 4;
 /// Header: magic + version + u64 rows + u32 cols.
 constexpr size_t kHeaderSize = 4 + 1 + 8 + 4;
 /// Trailer: u64 footer offset + u64 checksum.
@@ -82,8 +83,8 @@ char* WriteBytes(char* p, std::string_view s) {
   return WriteRaw(p, s.data(), s.size());
 }
 
-/// Ciphertext record: u8 scheme, u64 key id, u64 aux, then the blob as
-/// WriteBytes lays it out — kEncFixed + blob.size() bytes.
+/// Ciphertext record of a kCell page: u8 scheme, u64 key id, u64 aux, then
+/// the blob as WriteBytes lays it out — kEncFixed + blob.size() bytes.
 constexpr size_t kEncFixed = 1 + 8 + 8 + 4;
 
 char* WriteEnc(char* p, EncView ev) {
@@ -91,29 +92,6 @@ char* WriteEnc(char* p, EncView ev) {
   p = WriteVal(p, ev.key_id);
   p = WriteVal(p, static_cast<uint64_t>(ev.aux));
   return WriteBytes(p, ev.blob);
-}
-
-/// A ciphertext record's fixed part, read from the `avail` bytes at `p`.
-/// Valid when the scheme is known and the blob fits in what follows.
-struct EncHeader {
-  uint8_t scheme;
-  uint64_t key_id;
-  uint64_t aux;
-  uint32_t len;
-
-  EncKey key() const {
-    return EncKey{static_cast<EncScheme>(scheme), key_id};
-  }
-};
-
-bool ReadEncHeader(const char* p, size_t avail, EncHeader* h) {
-  if (avail < kEncFixed) return false;
-  std::memcpy(&h->scheme, p, 1);
-  std::memcpy(&h->key_id, p + 1, 8);
-  std::memcpy(&h->aux, p + 9, 8);
-  std::memcpy(&h->len, p + 17, 4);
-  return h->scheme <= static_cast<uint8_t>(EncScheme::kPaillier) &&
-         h->len <= avail - kEncFixed;
 }
 
 uint64_t Rotl(uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
@@ -179,13 +157,18 @@ struct Reader {
     pos += n;
     return true;
   }
-  /// A ciphertext record; the view's blob points into the frame.
+  /// A ciphertext record (WriteEnc); the view's blob points into the frame.
   bool Enc(EncView* ev) {
-    EncHeader h;
-    if (!ReadEncHeader(data + pos, size - pos, &h)) return false;
-    *ev = EncView(h.key(), std::string_view(data + pos + kEncFixed, h.len),
-                  static_cast<int64_t>(h.aux));
-    pos += kEncFixed + h.len;
+    uint8_t scheme;
+    uint64_t key_id, aux;
+    uint32_t len;
+    if (!U8(&scheme) || scheme > static_cast<uint8_t>(EncScheme::kPaillier) ||
+        !U64(&key_id) || !U64(&aux) || !U32(&len) || len > size - pos) {
+      return false;
+    }
+    *ev = EncView(EncKey{static_cast<EncScheme>(scheme), key_id},
+                  std::string_view(data + pos, len), static_cast<int64_t>(aux));
+    pos += len;
     return true;
   }
 };
@@ -275,16 +258,16 @@ Int64Page PlanInt64Page(const std::vector<int64_t>& v) {
   size_t n = v.size();
   uint64_t raw_cost = 1 + 8 * static_cast<uint64_t>(n);
 
-  for (size_t i = 0; i < n; ++i) {
-    if (i == 0 || v[i] != v[i - 1]) ++pg.runs;
+  int64_t mx = n > 0 ? v[0] : 0;
+  pg.mn = mx;
+  pg.runs = n > 0 ? 1 : 0;
+  for (size_t i = 1; i < n; ++i) {
+    pg.runs += v[i] != v[i - 1];
+    pg.mn = std::min(pg.mn, v[i]);
+    mx = std::max(mx, v[i]);
   }
   uint64_t rle_cost = 1 + 4 + 12 * static_cast<uint64_t>(pg.runs);
 
-  int64_t mx = 0;
-  if (n > 0) {
-    pg.mn = *std::min_element(v.begin(), v.end());
-    mx = *std::max_element(v.begin(), v.end());
-  }
   uint64_t max_delta =
       static_cast<uint64_t>(mx) - static_cast<uint64_t>(pg.mn);
   pg.bw = BitsFor(max_delta);
@@ -322,6 +305,7 @@ char* EncodeInt64Page(const std::vector<int64_t>& v, const Int64Page& pg,
   if (pg.kind == kPageFor) {
     p = WriteVal(p, static_cast<uint64_t>(pg.mn));
     p = WriteVal(p, pg.bw);
+    if (pg.bw == 0) return p;  // every value is the base
     std::vector<uint64_t> deltas(n);
     for (size_t i = 0; i < n; ++i) {
       deltas[i] = static_cast<uint64_t>(v[i]) - static_cast<uint64_t>(pg.mn);
@@ -437,15 +421,67 @@ char* EncodeStringPage(const ColumnData& d, const StringPage& pg, char* p) {
   return p;
 }
 
-/// Ciphertext page rows [begin, end): one record per row, straight from the
-/// column's arena; a NULL row's record is the default ciphertext (RND, key
-/// 0, count 1, no blob). Record i starts kEncFixed * i + BlobOffset(i)
-/// bytes into the page (a NULL row's arena slot is empty), so row blocks
-/// are written independently.
-char* EncodeEncRows(const ColumnData& d, size_t begin, size_t end, char* p) {
+// Ciphertext page flags: which per-row vectors follow the page key.
+constexpr uint8_t kEncMixedKeys = 1;  // per-row schemes and key ids
+constexpr uint8_t kEncAux = 2;        // per-row Paillier counts
+/// (scheme u8, key id u64, flags u8).
+constexpr size_t kEncPageHeader = 1 + 8 + 1;
+
+/// A ciphertext page, laid out as the column's arena holds it: the column
+/// (scheme, key id) once, a flags byte, then int64 pages of per-row schemes
+/// and key ids (only when rows mix keys) and of per-row counts (only when
+/// some count is not 1), an int64 page of blob lengths (10 bytes when every
+/// blob has the same length), and last every blob back to back —
+/// the arena's byte buffer verbatim. A NULL row has length 0, the column
+/// key and count 1; a non-NULL ciphertext is never empty.
+struct EncPage {
+  uint8_t flags = 0;
+  std::vector<std::vector<int64_t>> vecs;  ///< in page order, lengths last
+  std::vector<Int64Page> pages;            ///< one per vecs entry
+  uint64_t head_len = 0;                   ///< page bytes before the blobs
+};
+
+Status PlanEncPage(const ColumnData& d, EncPage* pg) {
   const EncArena& a = d.enc();
-  for (size_t i = begin; i < end; ++i) {
-    p = WriteEnc(p, d.IsNull(i) ? EncView() : a.At(i));
+  const size_t n = d.size();
+  pg->flags = static_cast<uint8_t>((a.mixed_keys() ? kEncMixedKeys : 0) |
+                                   (a.has_aux() ? kEncAux : 0));
+  auto per_row = [&](auto value_of) {
+    std::vector<int64_t> v(n);
+    for (size_t i = 0; i < n; ++i) v[i] = value_of(i);
+    pg->vecs.push_back(std::move(v));
+  };
+  if (pg->flags & kEncMixedKeys) {
+    per_row([&](size_t i) { return static_cast<int64_t>(a.KeyAt(i).scheme); });
+    per_row([&](size_t i) { return static_cast<int64_t>(a.KeyAt(i).key_id); });
+  }
+  if (pg->flags & kEncAux) per_row([&](size_t i) { return a.AuxAt(i); });
+  per_row([&](size_t i) {
+    return static_cast<int64_t>(a.BlobOffset(i + 1) - a.BlobOffset(i));
+  });
+  const std::vector<int64_t>& lens = pg->vecs.back();
+  for (size_t i = 0; i < n; ++i) {
+    if ((lens[i] == 0) != d.IsNull(i)) {
+      return Status::InvalidArgument(
+          "ciphertext column holds an empty ciphertext or a non-empty NULL");
+    }
+  }
+  pg->head_len = kEncPageHeader;
+  for (const std::vector<int64_t>& v : pg->vecs) {
+    pg->pages.push_back(PlanInt64Page(v));
+    pg->head_len += pg->pages.back().len;
+  }
+  return Status::OK();
+}
+
+/// Writes the page's bytes before the blobs.
+char* EncodeEncHead(const ColumnData& d, const EncPage& pg, char* p) {
+  const EncKey key = d.enc().key().value_or(EncKey());
+  p = WriteVal(p, static_cast<uint8_t>(key.scheme));
+  p = WriteVal(p, key.key_id);
+  p = WriteVal(p, pg.flags);
+  for (size_t k = 0; k < pg.vecs.size(); ++k) {
+    p = EncodeInt64Page(pg.vecs[k], pg.pages[k], p);
   }
   return p;
 }
@@ -567,58 +603,65 @@ void ClearMasked(const std::vector<uint8_t>& nulls, std::vector<T>* vals) {
   }
 }
 
-/// Decodes a ciphertext page into one arena in two passes. The first
-/// validates every record header and builds the blob offsets, plus per-row
-/// keys and counts only from the first row that departs from the column's
-/// — what Push would keep. The second copies the blobs into an arena sized
-/// once. A NULL row's record is validated, then dropped: its slot is the
-/// null slot AppendNull leaves.
+/// Decodes a ciphertext page (EncPage) into one arena: offsets from the
+/// blob lengths, then the blobs in one copy. Per-row keys and counts are
+/// kept when the page carries them, which the encoder does only for a
+/// column that has them, and a NULL row is the null slot AppendNull
+/// leaves. Every non-NULL row costs at least one blob byte and the null
+/// mask bounds the NULL rows, so a row count the page cannot hold is
+/// refused before anything is sized by it.
 Status DecodeEncPage(Reader* r, uint64_t num_rows, std::vector<uint8_t> nulls,
                      ColumnData* out) {
-  const char* page = r->data + r->pos;
-  const size_t avail = r->size - r->pos;
-  if (num_rows > avail / kEncFixed) return Corrupt();
+  uint8_t scheme, flags;
+  uint64_t key_id;
+  if (!r->U8(&scheme) || scheme > static_cast<uint8_t>(EncScheme::kPaillier) ||
+      !r->U64(&key_id) || !r->U8(&flags) ||
+      (flags & ~(kEncMixedKeys | kEncAux)) != 0) {
+    return Corrupt();
+  }
+  const uint64_t non_null =
+      num_rows - static_cast<uint64_t>(
+                     std::count(nulls.begin(), nulls.end(), uint8_t{1}));
+  if (non_null > r->size - r->pos) return Corrupt();
+  std::vector<int64_t> schemes, key_ids, counts, lens;
+  if (flags & kEncMixedKeys) {
+    MPQ_RETURN_NOT_OK(DecodeInt64Page(r, num_rows, &schemes));
+    MPQ_RETURN_NOT_OK(DecodeInt64Page(r, num_rows, &key_ids));
+  }
+  if (flags & kEncAux) MPQ_RETURN_NOT_OK(DecodeInt64Page(r, num_rows, &counts));
+  MPQ_RETURN_NOT_OK(DecodeInt64Page(r, num_rows, &lens));
+
+  const uint64_t avail =
+      std::min<uint64_t>(r->size - r->pos, EncArena::kMaxBytes);
+  const EncKey page_key{static_cast<EncScheme>(scheme), key_id};
   std::vector<uint32_t> off(num_rows + 1);
-  std::optional<EncKey> key;
-  std::vector<EncKey> keys;
-  std::vector<int64_t> aux;
-  size_t pos = 0;
+  std::vector<EncKey> keys(schemes.empty() ? 0 : num_rows, page_key);
+  std::vector<int64_t> aux(counts.empty() ? 0 : num_rows, 1);
   for (uint64_t i = 0; i < num_rows; ++i) {
-    EncHeader h;
-    if (!ReadEncHeader(page + pos, avail - pos, &h)) return Corrupt();
-    pos += kEncFixed + h.len;
-    if (!nulls.empty() && nulls[i] != 0) {
-      off[i + 1] = off[i];
-      if (!keys.empty()) keys.push_back(*key);
-      if (!aux.empty()) aux.push_back(1);
-      continue;
+    const bool is_null = !nulls.empty() && nulls[i] != 0;
+    const int64_t len = lens[i];
+    if (len < 0 || (len == 0) != is_null ||
+        static_cast<uint64_t>(len) > avail - off[i]) {
+      return Corrupt();
     }
-    const EncKey k = h.key();
-    if (!key.has_value()) key = k;
-    if (!keys.empty() || k != *key) {
-      if (keys.empty()) keys.assign(i, *key);
-      keys.push_back(k);
+    off[i + 1] = off[i] + static_cast<uint32_t>(len);
+    if (is_null) continue;
+    if (!keys.empty()) {
+      if (schemes[i] < 0 ||
+          schemes[i] > static_cast<int64_t>(EncScheme::kPaillier)) {
+        return Corrupt();
+      }
+      keys[i] = EncKey{static_cast<EncScheme>(schemes[i]),
+                       static_cast<uint64_t>(key_ids[i])};
     }
-    const auto a = static_cast<int64_t>(h.aux);
-    if (!aux.empty() || a != 1) {
-      if (aux.empty()) aux.assign(i, 1);
-      aux.push_back(a);
-    }
-    if (h.len > EncArena::kMaxBytes - off[i]) return Corrupt();
-    off[i + 1] = off[i] + h.len;
+    if (!aux.empty()) aux[i] = counts[i];
   }
-  EncArena arena =
-      EncArena::Sized(key, std::move(off), std::move(keys), std::move(aux));
-  pos = 0;
-  for (uint64_t i = 0; i < num_rows; ++i) {
-    uint32_t len;
-    std::memcpy(&len, page + pos + kEncFixed - sizeof(len), sizeof(len));
-    if (nulls.empty() || nulls[i] == 0) {
-      WriteRaw(arena.Slot(i), page + pos + kEncFixed, len);
-    }
-    pos += kEncFixed + len;
-  }
-  r->pos += pos;
+  const uint32_t total = off.back();
+  EncArena arena = EncArena::Sized(
+      non_null > 0 ? std::optional<EncKey>(page_key) : std::nullopt,
+      std::move(off), std::move(keys), std::move(aux));
+  WriteRaw(arena.Slot(0), r->data + r->pos, total);
+  r->pos += total;
   out->Adopt(std::move(arena), std::move(nulls));
   return Status::OK();
 }
@@ -649,7 +692,10 @@ Status DecodeColumnPage(Reader* r, ColumnRep rep, uint64_t num_rows,
       std::vector<std::string> vals;
       if (encoding == kStringDict) {
         uint32_t num_values;
-        if (!r->U32(&num_values) || num_values > r->size) return Corrupt();
+        // Each value costs at least its u32 length.
+        if (!r->U32(&num_values) || num_values > (r->size - r->pos) / 4) {
+          return Corrupt();
+        }
         std::vector<std::string> values(num_values);
         for (uint32_t k = 0; k < num_values; ++k) {
           if (!r->Bytes(&values[k])) return Corrupt();
@@ -718,6 +764,7 @@ struct PagePlan {
   uint64_t len = 0;       ///< null mask + page bytes
   Int64Page i64;
   StringPage str;
+  EncPage enc;
 };
 
 Status PlanPage(const ExecColumn& col, const ColumnData& d, PagePlan* pg) {
@@ -738,7 +785,8 @@ Status PlanPage(const ExecColumn& col, const ColumnData& d, PagePlan* pg) {
       pg->len += pg->str.len;
       break;
     case ColumnRep::kEnc:
-      pg->len += kEncFixed * n + d.enc().bytes();
+      MPQ_RETURN_NOT_OK(PlanEncPage(d, &pg->enc));
+      pg->len += pg->enc.head_len + d.enc().bytes();
       break;
     case ColumnRep::kCell:
       for (const Cell& cell : d.cells()) {
@@ -752,7 +800,8 @@ Status PlanPage(const ExecColumn& col, const ColumnData& d, PagePlan* pg) {
 }
 
 /// One encode morsel: rows [begin, end) of column `col`'s page. Only kEnc
-/// pages are split; the part holding row 0 also writes the null mask.
+/// pages are split, into blob ranges; the part holding row 0 also writes
+/// the null mask and the page's bytes before the blobs.
 struct PagePart {
   size_t col;
   size_t begin;
@@ -777,11 +826,16 @@ void WritePagePart(const ColumnData& d, const PagePlan& pg,
       p = EncodeStringPage(d, pg.str, p);
       break;
     case ColumnRep::kEnc: {
+      if (part.begin == 0) {
+        char* head_end = EncodeEncHead(d, pg.enc, p);
+        assert(head_end == p + pg.enc.head_len);
+        (void)head_end;
+      }
       const EncArena& a = d.enc();
-      p += kEncFixed * part.begin + a.BlobOffset(part.begin);
-      p = EncodeEncRows(d, part.begin, part.end, p);
-      assert(p == frame + pg.offset + pg.mask_len + kEncFixed * part.end +
-                      a.BlobOffset(part.end));
+      const size_t from = a.BlobOffset(part.begin);
+      p = WriteRaw(p + pg.enc.head_len + from, a.data() + from,
+                   a.BlobOffset(part.end) - from);
+      assert(part.end < d.size() || p == frame + pg.offset + pg.len);
       return;
     }
     case ColumnRep::kCell:

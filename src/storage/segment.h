@@ -2,21 +2,25 @@
 // format layered over the same column model as the wire format. One segment
 // holds a row range of one table; every column gets a compressed page
 // (RLE / frame-of-reference bit-packing for int64, dictionary + bit-packed
-// codes for strings, raw pages for doubles and ciphertext blobs) plus a
-// footer entry carrying its metadata, page extent, null count, and a
-// min/max zone map over the non-null plaintext values. The footer is
+// codes for strings, raw pages for doubles) plus a footer entry carrying
+// its metadata, page extent, null count, and a min/max zone map over the
+// non-null plaintext values. A ciphertext page (frame version 4) holds the
+// column's (scheme, key id) once, per-row keys and Paillier counts only
+// when the column has them, the blob lengths as an int64 page, then every
+// blob back to back, as the column's arena holds them. The footer is
 // readable without touching any page, so scans consult zone maps first and
 // skip whole segments that provably contain no qualifying row; a trailing
-// checksum rejects torn or bit-flipped segments before any decode. Frame
-// version 3 computes it over fixed 1 MiB chunks of 64-bit words and folds
-// the chunk sums in chunk order; it always detects a change confined to
-// one word, so every single-bit flip.
+// checksum rejects torn or bit-flipped segments before any decode. It is
+// computed over fixed 1 MiB chunks of 64-bit words, the chunk sums folded
+// in chunk order; it always detects a change confined to one word, so
+// every single-bit flip.
 //
 // The codec runs on the caller's MorselScheduler (inline without one, over
 // the same partition, so the bytes never depend on the thread count).
 // Encoding plans every column's page as a morsel, sizes the frame once,
 // then writes the pages into their disjoint byte ranges as morsels, a large
-// ciphertext page as row blocks. The checksum chunks are morsels too.
+// ciphertext page's blobs as one range copy per 4096-row block. The
+// checksum chunks are morsels too.
 // Decoding builds one column per morsel: each typed rep as one vector plus
 // its null mask, a ciphertext page in bulk into one arena. Segments under
 // 4096 rows are coded inline even with a scheduler.
@@ -63,7 +67,7 @@ struct SegmentZone {
 /// setting, since it decides the checksum's value.
 constexpr size_t kSegmentChecksumChunk = size_t{1} << 20;
 
-/// The frame checksum of version 3 over data[0, n): a word-wise sum per
+/// The frame checksum (versions 3 and 4) over data[0, n): a word-wise sum per
 /// kSegmentChecksumChunk-byte chunk, computed as morsels on `sched` (inline
 /// when null), then folded in chunk order. Detects any change confined to
 /// one 64-bit word. A frame's trailer holds it over every byte before it.
@@ -106,6 +110,8 @@ class SegmentReader {
   }
   /// Encoded frame size in bytes (the bytes-on-wire of this segment).
   size_t encoded_size() const { return bytes_.size(); }
+  /// Bytes of column `c`'s page, its null mask included.
+  uint64_t page_bytes(size_t c) const { return entries_[c].page_len; }
 
   /// Decodes every column page into a table, one page per morsel on
   /// `sched` (inline when null). The result round-trips: for a table built

@@ -7,21 +7,47 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <map>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "crypto/keyring.h"
+#include "crypto/scheme.h"
 #include "exec/executor.h"
 #include "exec/morsel.h"
 #include "paper_example.h"
 #include "storage/segment.h"
 #include "testing/random_plan.h"
 #include "testing/reference_exec.h"
+
+// While a test sets a cap, a single allocation larger than it is refused
+// (std::bad_alloc) and recorded: a decoder that sizes anything by a forged
+// count is caught asking, and the request is never paid for.
+namespace {
+std::atomic<size_t> g_alloc_cap{0};  // 0: no cap
+std::atomic<size_t> g_refused_alloc{0};
+}  // namespace
+
+void* operator new(size_t n) {
+  const size_t cap = g_alloc_cap.load(std::memory_order_relaxed);
+  if (cap != 0 && n > cap) {
+    size_t seen = g_refused_alloc.load();
+    while (n > seen && !g_refused_alloc.compare_exchange_weak(seen, n)) {
+    }
+    throw std::bad_alloc();
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
 
 namespace mpq {
 namespace {
@@ -132,6 +158,80 @@ Table RandomTable(uint64_t seed) {
   return t;
 }
 
+/// A ciphertext column of `rows` rows under `scheme`. Row r is NULL when
+/// r % null_every == 3 % null_every (every row at 1, none at 0); any other
+/// row holds `width` bytes (0: 1 + r % 41) under the key and Paillier count
+/// `key_of` / `aux_of` choose. No blob is empty: no scheme writes an empty
+/// ciphertext, and a ciphertext page refuses one.
+ColumnData EncColumn(size_t rows, EncScheme scheme, size_t null_every,
+                     const std::function<uint64_t(size_t)>& key_of,
+                     const std::function<int64_t(size_t)>& aux_of,
+                     size_t width = 0) {
+  ColumnData d(ColumnRep::kEnc);
+  for (size_t r = 0; r < rows; ++r) {
+    if (null_every != 0 && r % null_every == 3 % null_every) {
+      d.AppendNull();
+      continue;
+    }
+    EncValue ev;
+    ev.scheme = scheme;
+    ev.key_id = key_of(r);
+    ev.aux = aux_of(r);
+    ev.blob = std::string(width != 0 ? width : 1 + r % 41,
+                          static_cast<char>('a' + r % 26));
+    d.Append(Cell(std::move(ev)));
+  }
+  return d;
+}
+
+/// EncColumn as the one column "e" of a table.
+Table EncTable(size_t rows, EncScheme scheme, size_t null_every,
+               const std::function<uint64_t(size_t)>& key_of,
+               const std::function<int64_t(size_t)>& aux_of) {
+  ExecColumn meta;
+  meta.attr = 1;
+  meta.name = "e";
+  meta.encrypted = true;
+  meta.scheme = scheme;
+  Table t;
+  t.AddColumn(meta, EncColumn(rows, scheme, null_every, key_of, aux_of));
+  return t;
+}
+
+/// Adds one ciphertext column of `rows` rows per kind of page the codec
+/// writes: single-key pages under RND, DET (with NULLs), OPE and HOM
+/// (16-byte blobs, so their lengths pack to a base alone; HOM with counts
+/// other than 1), a mixed-key page, and an all-NULL page.
+void AddCiphertextKinds(Table* t, size_t rows) {
+  auto key = [](uint64_t k) { return [k](size_t) { return k; }; };
+  auto one = [](size_t) { return int64_t{1}; };
+  auto add = [t](const char* name, EncScheme scheme, ColumnData d) {
+    ExecColumn meta;
+    meta.attr = static_cast<AttrId>(t->num_columns() + 1);
+    meta.name = name;
+    meta.encrypted = true;
+    meta.scheme = scheme;
+    t->AddColumn(meta, std::move(d));
+  };
+  add("rnd", EncScheme::kRandom,
+      EncColumn(rows, EncScheme::kRandom, 0, key(11), one));
+  add("det_nulls", EncScheme::kDeterministic,
+      EncColumn(rows, EncScheme::kDeterministic, 5, key(12), one));
+  add("ope", EncScheme::kOpe,
+      EncColumn(rows, EncScheme::kOpe, 0, key(13), one, 16));
+  add("hom_aux", EncScheme::kPaillier,
+      EncColumn(
+          rows, EncScheme::kPaillier, 7, key(14),
+          [](size_t r) { return static_cast<int64_t>(1 + r % 3); }, 16));
+  add("mixed", EncScheme::kDeterministic,
+      EncColumn(
+          rows, EncScheme::kDeterministic, 0,
+          [](size_t r) { return r % 3 == 1 ? uint64_t{16} : uint64_t{15}; },
+          one));
+  add("all_null", EncScheme::kRandom,
+      EncColumn(rows, EncScheme::kRandom, 1, key(17), one));
+}
+
 // ---------------------------------------------------------- round-trip ---
 
 TEST(SegmentTest, RandomTablesRoundTripBitIdentically) {
@@ -159,13 +259,74 @@ TEST(SegmentTest, RandomTablesRoundTripBitIdentically) {
 
 // ------------------------------------------------------ golden frame ---
 
+/// Bit patterns of doubles, so NaN and -0.0 compare exactly.
+std::vector<uint64_t> DoubleBits(const std::vector<double>& v) {
+  std::vector<uint64_t> bits(v.size());
+  for (size_t i = 0; i < v.size(); ++i) {
+    std::memcpy(&bits[i], &v[i], sizeof(double));
+  }
+  return bits;
+}
+
+/// Equal decoded tables, column by column: the same rep, null mask, typed
+/// vectors (double bits exact), ciphertext arena (keys, blobs, counts, and
+/// whether it keeps per-row keys) and cells.
+void ExpectSameTable(const Table& got, const Table& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.num_rows(), want.num_rows()) << what;
+  ASSERT_EQ(got.num_columns(), want.num_columns()) << what;
+  EXPECT_EQ(got.SerializeColumns(), want.SerializeColumns()) << what;
+  for (size_t c = 0; c < want.num_columns(); ++c) {
+    const ColumnData& g = got.col(c);
+    const ColumnData& w = want.col(c);
+    ASSERT_EQ(g.rep(), w.rep()) << what << " col " << c;
+    ASSERT_EQ(g.has_nulls(), w.has_nulls()) << what << " col " << c;
+    for (size_t row = 0; row < w.size(); ++row) {
+      ASSERT_EQ(g.IsNull(row), w.IsNull(row)) << what << " col " << c;
+    }
+    EXPECT_EQ(g.i64(), w.i64()) << what << " col " << c;
+    EXPECT_EQ(DoubleBits(g.f64()), DoubleBits(w.f64())) << what << " col " << c;
+    EXPECT_EQ(g.str(), w.str()) << what << " col " << c;
+    EXPECT_EQ(g.enc(), w.enc()) << what << " col " << c;
+    EXPECT_EQ(g.enc().mixed_keys(), w.enc().mixed_keys()) << what;
+    ASSERT_EQ(g.cells().size(), w.cells().size()) << what << " col " << c;
+    for (size_t row = 0; row < w.cells().size(); ++row) {
+      const Cell& a = g.cells()[row];
+      const Cell& b = w.cells()[row];
+      ASSERT_EQ(a.is_plain(), b.is_plain()) << what << " row " << row;
+      if (a.is_plain()) {
+        EXPECT_EQ(a.plain().Serialize(), b.plain().Serialize()) << what;
+      } else {
+        EXPECT_EQ(a.enc(), b.enc()) << what << " row " << row;
+      }
+    }
+  }
+}
+
+/// `t` rebuilt by appending its rows one at a time: what a decode must
+/// produce (a null mask that marks no row is dropped, for one).
+Table Reappended(const Table& t) {
+  Table out;
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    const ColumnData& src = t.col(c);
+    ColumnData d(src.rep());
+    for (size_t row = 0; row < src.size(); ++row) d.Append(src.GetCell(row));
+    out.AddColumn(t.columns()[c], std::move(d));
+  }
+  if (t.num_columns() == 0) {
+    for (size_t row = 0; row < t.num_rows(); ++row) out.AddRow({});
+  }
+  return out;
+}
+
 /// One deterministic table (no crypto, no RNG state shared with other
 /// tests) that reaches every page the codec writes: FOR pages at every bit
 /// width from 1 to 63 plus raw pages (the 64-bit width), RLE pages,
 /// dictionary string pages at code widths 0/1/3/8 and plain string pages,
-/// doubles with NaN, +-0.0 and infinities, ciphertext and heterogeneous
-/// cell columns, NULLs in every typed rep, and columns whose null mask
-/// exists but marks no row.
+/// doubles with NaN, +-0.0 and infinities, ciphertext pages of every kind
+/// (AddCiphertextKinds, plus pages mixing schemes, keys and counts) and
+/// heterogeneous cell columns, NULLs in every typed rep, and columns whose
+/// null mask exists but marks no row.
 Table GoldenTable() {
   constexpr size_t kRows = 200;
   uint64_t state = 0x601d;
@@ -289,13 +450,21 @@ Table GoldenTable() {
     }
     return ev;
   };
+  // A ciphertext page holds no empty blob (cell pages still may): one byte
+  // stands in for an empty draw, leaving the draws themselves, and so every
+  // later column, as they were.
+  auto page_value = [&](size_t r) {
+    EncValue ev = enc_value(r);
+    if (ev.blob.empty()) ev.blob = "e";
+    return ev;
+  };
   for (size_t null_every : {size_t{0}, size_t{4}}) {
     ColumnData d(ColumnRep::kEnc);
     for (size_t r = 0; r < kRows; ++r) {
       if (null_every != 0 && r % null_every == 1) {
         d.AppendNull();
       } else {
-        d.Append(Cell(enc_value(r)));
+        d.Append(Cell(page_value(r)));
       }
     }
     add("enc" + std::to_string(null_every), DataType::kInt64, std::move(d),
@@ -342,7 +511,7 @@ Table GoldenTable() {
   }
   {
     ColumnData src(ColumnRep::kEnc);
-    for (size_t r = 0; r < kRows; ++r) src.Append(Cell(enc_value(r)));
+    for (size_t r = 0; r < kRows; ++r) src.Append(Cell(page_value(r)));
     src.AppendNull();
     ColumnData d(ColumnRep::kEnc);
     d.AppendRange(src, 0, kRows);
@@ -350,16 +519,8 @@ Table GoldenTable() {
     add("mask_no_null_enc", DataType::kInt64, std::move(d),
         /*encrypted=*/true, EncScheme::kRandom);
   }
+  AddCiphertextKinds(&t, kRows);
   return t;
-}
-
-/// Bit patterns of doubles, so NaN and -0.0 compare exactly.
-std::vector<uint64_t> DoubleBits(const std::vector<double>& v) {
-  std::vector<uint64_t> bits(v.size());
-  for (size_t i = 0; i < v.size(); ++i) {
-    std::memcpy(&bits[i], &v[i], sizeof(double));
-  }
-  return bits;
 }
 
 /// HashBytes of a frame with its version byte and trailing checksum zeroed:
@@ -370,55 +531,49 @@ uint64_t FrameBodyHash(std::string frame) {
   return HashBytes(frame.data(), frame.size());
 }
 
-TEST(SegmentTest, GoldenFrameBodyIsPinned) {
-  Table t = GoldenTable();
-  ASSERT_EQ(t.num_rows(), 200u);
+/// The columns of `t` with (`enc`) or without a ciphertext page.
+Table PagesOf(const Table& t, bool enc) {
+  Table out;
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    if ((t.col(c).rep() == ColumnRep::kEnc) == enc) {
+      out.AddColumn(t.columns()[c], t.ShareCol(c));
+    }
+  }
+  return out;
+}
+
+/// Encodes `t`, checks the frame's size and body hash, and that it decodes
+/// to exactly what appending the rows one at a time builds: same rep, same
+/// typed vectors (masked slots holding the defaults AppendNull writes),
+/// same mask — dropped when it marks no row — and same arena.
+void ExpectPinnedFrame(const Table& t, size_t size, uint64_t body_hash) {
   Result<std::string> frame = EncodeSegment(t);
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  // Pinned from the byte-at-a-time codec this one replaced: the bytes on
-  // the wire (and so every bytes-on-wire figure) must not move.
-  EXPECT_EQ(frame->size(), 110161u);
-  EXPECT_EQ(FrameBodyHash(*frame), 1402033926823284546ull);
-
+  EXPECT_EQ(frame->size(), size);
+  EXPECT_EQ(FrameBodyHash(*frame), body_hash);
   Result<SegmentReader> r = SegmentReader::Open(*frame);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   Result<Table> back = r->Decode();
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ASSERT_EQ(back->num_columns(), t.num_columns());
-  for (size_t c = 0; c < t.num_columns(); ++c) {
-    // The decoder must produce exactly what appending the rows one at a
-    // time does: same rep, same typed vectors (masked slots holding the
-    // defaults AppendNull writes), same mask — dropped when it marks no
-    // row.
-    const ColumnData& src = t.col(c);
-    ColumnData want(src.rep());
-    for (size_t row = 0; row < src.size(); ++row) {
-      want.Append(src.GetCell(row));
-    }
-    const ColumnData& got = back->col(c);
-    const std::string& name = t.columns()[c].name;
-    ASSERT_EQ(got.rep(), want.rep()) << name;
-    ASSERT_EQ(got.size(), want.size()) << name;
-    EXPECT_EQ(got.has_nulls(), want.has_nulls()) << name;
-    for (size_t row = 0; row < want.size(); ++row) {
-      ASSERT_EQ(got.IsNull(row), want.IsNull(row)) << name << " " << row;
-    }
-    EXPECT_EQ(got.i64(), want.i64()) << name;
-    EXPECT_EQ(DoubleBits(got.f64()), DoubleBits(want.f64())) << name;
-    EXPECT_EQ(got.str(), want.str()) << name;
-    EXPECT_EQ(got.enc(), want.enc()) << name;
-    ASSERT_EQ(got.cells().size(), want.cells().size()) << name;
-    for (size_t row = 0; row < want.cells().size(); ++row) {
-      const Cell& a = got.cells()[row];
-      const Cell& b = want.cells()[row];
-      ASSERT_EQ(a.is_plain(), b.is_plain()) << name << " " << row;
-      if (a.is_plain()) {
-        EXPECT_EQ(a.plain().Serialize(), b.plain().Serialize()) << name;
-      } else {
-        EXPECT_EQ(a.enc(), b.enc()) << name;
-      }
-    }
-  }
+  ExpectSameTable(*back, Reappended(t), "golden");
+}
+
+TEST(SegmentTest, GoldenFrameBodyIsPinned) {
+  // The plaintext and cell pages, pinned from the frame version 3 codec:
+  // version 4 changed only the ciphertext page, so these bytes on the wire
+  // must not move.
+  Table t = PagesOf(GoldenTable(), /*enc=*/false);
+  ASSERT_EQ(t.num_rows(), 200u);
+  ExpectPinnedFrame(t, 86829u, 3416257630687918052ull);
+}
+
+TEST(SegmentTest, GoldenCiphertextPagesArePinned) {
+  // Every kind of ciphertext page version 4 writes: single-key pages under
+  // each scheme, NULLs, counts other than 1, mixed keys and schemes, an
+  // all-NULL page and a null mask that marks no row.
+  Table t = PagesOf(GoldenTable(), /*enc=*/true);
+  ASSERT_EQ(t.num_columns(), 9u);
+  ExpectPinnedFrame(t, 30920u, 15486808721607311620ull);
 }
 
 TEST(SegmentTest, MixedKeyCiphertextPageRoundTrips) {
@@ -561,7 +716,7 @@ TEST(SegmentTest, MutatedFramesAreRejectedNeverCrash) {
   // 10k mutants of a small frame through the inline decoder, then 10k of a
   // frame with enough rows (4096, packed small: bit-packed keys and a
   // dictionary string column with NULLs) that the scheduled decoder really
-  // runs its pages on the pool.
+  // runs its pages on the pool. Both carry every kind of ciphertext page.
   std::vector<ExecColumn> cols(2);
   cols[0].attr = 1;
   cols[0].name = "k";
@@ -573,11 +728,14 @@ TEST(SegmentTest, MutatedFramesAreRejectedNeverCrash) {
     tall.AddRow({I(r * 7), r % 9 == 0 ? Cell(Value::Null())
                                       : S("m" + std::to_string(r % 5))});
   }
+  AddCiphertextKinds(&tall, tall.num_rows());
+  Table small = RandomTable(7);
+  ASSERT_GT(small.num_rows(), 0u);
+  AddCiphertextKinds(&small, small.num_rows());
   ThreadPool pool(2);
   MorselScheduler two(&pool);
   const std::pair<std::string, MorselScheduler*> runs[] = {
-      {*EncodeSegment(RandomTable(7)), nullptr},
-      {*EncodeSegment(tall), &two}};
+      {*EncodeSegment(small), nullptr}, {*EncodeSegment(tall), &two}};
   for (const auto& [wire, sched] : runs) {
     ASSERT_TRUE(SegmentReader::Open(wire, sched).ok());
     uint64_t rng = 0xdecafbadf00d1234ull;
@@ -641,6 +799,7 @@ TEST(SegmentTest, EverySingleBitFlipIsRejected) {
     t.AddRow({r % 4 == 3 ? Cell(Value::Null()) : I(r * 37 - 100),
               S(r % 2 == 0 ? "even" : "odd"), Cell(std::move(ev))});
   }
+  AddCiphertextKinds(&t, t.num_rows());
   const std::string frame = *EncodeSegment(t);
   ASSERT_TRUE(SegmentReader::Open(frame).ok());
   ThreadPool pool(2);
@@ -711,14 +870,43 @@ void Reseal(std::string* frame) {
   std::memcpy(&(*frame)[frame->size() - 8], &sum, sizeof(sum));
 }
 
+TEST(SegmentTest, VersionThreeFramesAreRejected) {
+  // Version 3 shares version 4's checksum, so a frame resealed as version 3
+  // is valid byte for byte; it is still refused, since its ciphertext pages
+  // held a record per row.
+  std::string frame = *EncodeSegment(RandomTable(3));
+  frame[4] = 3;
+  Reseal(&frame);
+  Result<SegmentReader> r = SegmentReader::Open(frame);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().ToString().find("version 3"), std::string::npos)
+      << r.status().ToString();
+}
+
+/// Runs `fn` with every single allocation over `cap` bytes refused, and
+/// returns the largest refused request (0 when none was).
+size_t LargestRefusedAllocation(size_t cap, const std::function<void()>& fn) {
+  g_refused_alloc = 0;
+  g_alloc_cap = cap;
+  try {
+    fn();
+  } catch (const std::bad_alloc&) {
+  }
+  g_alloc_cap = 0;
+  return g_refused_alloc;
+}
+
 /// Header layout: magic (4), version (1), rows (8), columns (4).
 constexpr size_t kRowsAt = 5;
 constexpr size_t kFirstPageAt = 17;
 
 TEST(SegmentTest, OversizedRowCountIsRejectedBeforeAllocating) {
-  // A resealed frame claiming the row-count cap (2^31 rows) over a one-row
-  // page: decoding must refuse it from the page length, never by first
-  // asking for 16 GiB of int64 slots.
+  // A resealed frame claiming the row-count cap (2^31 rows) over a one- or
+  // two-row page: decoding must refuse it from the page length, never by
+  // first asking for 16 GiB of int64 slots. Uniform ciphertext lengths pack
+  // to 10 bytes at any row count, so that page is bounded by what a row
+  // costs instead: a blob byte per non-NULL row (no ciphertext is empty), a
+  // mask bit per NULL row. Every kind of ciphertext page is tried.
   auto claim_rows = [](std::string frame) {
     uint64_t rows = uint64_t{1} << 31;
     std::memcpy(&frame[kRowsAt], &rows, sizeof(rows));
@@ -729,71 +917,171 @@ TEST(SegmentTest, OversizedRowCountIsRejectedBeforeAllocating) {
   col.attr = 1;
   col.name = "k";
   col.type = DataType::kInt64;
-  Table raw({col});
-  raw.AddRow({I(123456789)});  // one row: a raw page of 8 value bytes
-  Table packed({col});
-  packed.AddRow({I(0)});
-  packed.AddRow({I(1)});  // two rows: a 1-bit frame-of-reference page
+  std::vector<Table> tables;
+  tables.emplace_back(std::vector<ExecColumn>{col});
+  tables.back().AddRow({I(123456789)});  // one row: a raw page of 8 bytes
+  tables.emplace_back(std::vector<ExecColumn>{col});
+  tables.back().AddRow({I(0)});
+  tables.back().AddRow({I(1)});  // two rows: a 1-bit frame-of-reference page
+  Table kinds;
+  AddCiphertextKinds(&kinds, 2);  // row 1 mixes keys and counts
+  for (size_t c = 0; c < kinds.num_columns(); ++c) {
+    tables.emplace_back();
+    tables.back().AddColumn(kinds.columns()[c], kinds.ShareCol(c));
+  }
   ThreadPool pool(2);
   MorselScheduler two(&pool);
-  for (const Table* t : {&raw, &packed}) {
-    std::string frame = claim_rows(*EncodeSegment(*t));
+  for (const Table& t : tables) {
+    const std::string& name = t.columns()[0].name;
+    std::string frame = claim_rows(*EncodeSegment(t));
     for (MorselScheduler* sched :
          {static_cast<MorselScheduler*>(nullptr), &two}) {
       Result<SegmentReader> r = SegmentReader::Open(frame, sched);
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_TRUE(r.ok()) << name << ": " << r.status().ToString();
       ASSERT_EQ(r->num_rows(), uint64_t{1} << 31);
-      EXPECT_FALSE(r->Decode(sched).ok());
+      bool decoded = true;
+      EXPECT_EQ(LargestRefusedAllocation(
+                    size_t{1} << 20, [&] { decoded = r->Decode(sched).ok(); }),
+                0u)
+          << name;
+      EXPECT_FALSE(decoded) << name;
     }
   }
 }
 
-TEST(SegmentTest, BulkCiphertextDecoderRejectsBlobPastItsPage) {
-  // One ciphertext column, no nulls: records start right after the header.
-  // Growing any record's blob length makes it run past the page (into the
-  // next record, and for the last record into the footer); the bulk
-  // decoder must refuse it.
-  ExecColumn meta;
-  meta.attr = 1;
-  meta.name = "e";
-  meta.encrypted = true;
-  Table t({meta});
-  std::vector<uint32_t> lens;
-  for (int r = 0; r < 20; ++r) {
-    EncValue ev;
-    ev.key_id = 4;
-    ev.blob = std::string(static_cast<size_t>(r % 5) * 3, 'x');
-    lens.push_back(static_cast<uint32_t>(ev.blob.size()));
-    t.AddRow({Cell(std::move(ev))});
+TEST(SegmentTest, OversizedDictionaryIsRejectedBeforeAllocating) {
+  // A dictionary page of two 4 KiB values, its value count resealed up to
+  // half the page's length. Every value costs at least its u32 length, so
+  // the count is refused from the bytes left, never by first asking for
+  // that many strings (32 bytes each: 16x the page).
+  ExecColumn col;
+  col.attr = 1;
+  col.name = "s";
+  col.type = DataType::kString;
+  Table t({col});
+  for (int r = 0; r < 64; ++r) {
+    t.AddRow({S(std::string(4096, r % 2 == 0 ? 'a' : 'b'))});
   }
-  const std::string frame = *EncodeSegment(t);
+  std::string frame = *EncodeSegment(t);
+  const uint64_t page_bytes = SegmentReader::Open(frame)->page_bytes(0);
+  ASSERT_EQ(frame[kFirstPageAt], 1) << "not a dictionary page";
+  const auto num_values = static_cast<uint32_t>(page_bytes / 2);
+  std::memcpy(&frame[kFirstPageAt + 1], &num_values, sizeof(num_values));
+  Reseal(&frame);
+  Result<SegmentReader> r = SegmentReader::Open(frame);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  bool decoded = true;
+  EXPECT_EQ(LargestRefusedAllocation(size_t{64} << 10,
+                                     [&] { decoded = r->Decode().ok(); }),
+            0u);
+  EXPECT_FALSE(decoded);
+}
+
+TEST(SegmentTest, BulkCiphertextDecoderRejectsBlobPastItsPage) {
+  // One ciphertext column, no nulls: the page holds the column's scheme,
+  // key and flags, the blob lengths as an int64 page, then the blobs up to
+  // the page's end. Resealing the lengths so that they sum past the page
+  // (or short of it) must be refused by the bulk decoder, whichever way the
+  // lengths are packed: frame-of-reference, for uniform blobs at zero bits
+  // past the base and for varied ones (edited: the base), or run-length
+  // (edited: the first run's value).
+  constexpr size_t kLengthsAt = kFirstPageAt + 1 + 8 + 1;
+  struct Case {
+    const char* name;
+    std::function<size_t(size_t)> len_of;
+    uint8_t kind;     // the lengths page's: 1 run-length, 2 frame-of-reference
+    size_t value_at;  // the edited u64
+  };
+  const Case cases[] = {
+      {"uniform", [](size_t) { return size_t{17}; }, 2, kLengthsAt + 1},
+      {"varied", [](size_t r) { return 1 + r % 13; }, 2, kLengthsAt + 1},
+      {"two runs", [](size_t r) { return r < 10 ? size_t{1} : size_t{1000}; },
+       1, kLengthsAt + 1 + 4}};
   ThreadPool pool(2);
   MorselScheduler two(&pool);
-  size_t record = kFirstPageAt;
-  for (size_t r = 0; r < lens.size(); ++r) {
-    const size_t len_at = record + 1 + 8 + 8;
-    uint32_t stored;
-    std::memcpy(&stored, &frame[len_at], sizeof(stored));
-    ASSERT_EQ(stored, lens[r]) << "record " << r;
-    size_t page_left = 0;  // blob bytes from this record to the page end
-    for (size_t k = r; k < lens.size(); ++k) {
-      page_left += lens[k] + (k > r ? 1 + 8 + 8 + 4 : 0);
+  for (const Case& k : cases) {
+    ExecColumn meta;
+    meta.attr = 1;
+    meta.name = "e";
+    meta.encrypted = true;
+    Table t({meta});
+    for (size_t r = 0; r < 20; ++r) {
+      t.AddRow({Cell(EncValue{EncScheme::kRandom, 4,
+                              std::string(k.len_of(r), 'x'), 1})});
     }
-    for (uint32_t grow : {page_left + 1 - lens[r], page_left + 4096}) {
+    const std::string frame = *EncodeSegment(t);
+    ASSERT_EQ(frame[kLengthsAt], k.kind) << k.name;
+    uint64_t stored;
+    std::memcpy(&stored, &frame[k.value_at], sizeof(stored));
+    for (int64_t delta : {1, 4096, -1}) {
       std::string mut = frame;
-      uint32_t len = lens[r] + grow;
-      std::memcpy(&mut[len_at], &len, sizeof(len));
+      const uint64_t edited = stored + static_cast<uint64_t>(delta);
+      std::memcpy(&mut[k.value_at], &edited, sizeof(edited));
       Reseal(&mut);
       for (MorselScheduler* sched :
            {static_cast<MorselScheduler*>(nullptr), &two}) {
         Result<SegmentReader> sr = SegmentReader::Open(mut, sched);
         ASSERT_TRUE(sr.ok()) << sr.status().ToString();
         EXPECT_FALSE(sr->Decode(sched).ok())
-            << "record " << r << " blob of " << len << " bytes accepted";
+            << k.name << " lengths moved by " << delta << " accepted";
       }
     }
-    record = len_at + 4 + lens[r];
   }
+
+  // A NULL row has no blob: ten NULL rows then ten 1000-byte blobs, two
+  // length runs behind a 3-byte null mask. Moving 100 bytes per row from
+  // the second run to the first keeps the sum, and is refused all the same.
+  ExecColumn meta;
+  meta.attr = 1;
+  meta.name = "e";
+  meta.encrypted = true;
+  Table t({meta});
+  for (size_t r = 0; r < 20; ++r) {
+    t.AddRow({r < 10 ? Cell(Value::Null())
+                     : Cell(EncValue{EncScheme::kRandom, 4,
+                                     std::string(1000, 'x'), 1})});
+  }
+  std::string frame = *EncodeSegment(t);
+  const size_t runs_at = kFirstPageAt + 3 + 1 + 8 + 1 + 1 + 4;
+  const uint64_t moved[2] = {100, 900};
+  ASSERT_EQ(frame[runs_at - 5], 1) << "not a run-length page";
+  std::memcpy(&frame[runs_at], &moved[0], 8);
+  std::memcpy(&frame[runs_at + 8 + 4], &moved[1], 8);
+  Reseal(&frame);
+  Result<SegmentReader> sr = SegmentReader::Open(frame);
+  ASSERT_TRUE(sr.ok()) << sr.status().ToString();
+  EXPECT_FALSE(sr->Decode().ok()) << "a NULL row's blob was accepted";
+}
+
+TEST(SegmentTest, DetInt64PageCostsWhatTheCostModelPrices) {
+  // The cost model prices a DET int64 cell at EncSchemeCiphertextBytes
+  // (16 B); a single-key page of N such cells must cost within 1 B of that
+  // per cell, give or take its fixed header spread over the N rows.
+  constexpr size_t kRows = 15000;
+  KeyMaterial km = MakeKeyMaterial(7, 3);
+  ExecColumn meta;
+  meta.attr = 1;
+  meta.name = "o_orderkey";
+  meta.encrypted = true;
+  meta.scheme = EncScheme::kDeterministic;
+  meta.key_id = 3;
+  ColumnData d(ColumnRep::kEnc);
+  for (size_t r = 0; r < kRows; ++r) {
+    d.Append(Cell(*EncryptValue(Value(static_cast<int64_t>(4 * r + 1)),
+                                EncScheme::kDeterministic, 3, km, r + 1)));
+  }
+  Table t;
+  t.AddColumn(meta, std::move(d));
+  Result<SegmentReader> r = SegmentReader::Open(*EncodeSegment(t));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const auto model = static_cast<uint64_t>(
+      EncSchemeCiphertextBytes(EncScheme::kDeterministic, 8));
+  constexpr uint64_t kPageHeader = 20;  // scheme, key, flags, uniform lengths
+  const uint64_t page = r->page_bytes(0);
+  EXPECT_LE(page, kRows * (model + 1) + kPageHeader)
+      << static_cast<double>(page) / kRows << " B per cell, " << model
+      << " B modeled";
+  EXPECT_GE(page, kRows * (model - 1));
 }
 
 TEST(SegmentTest, ChunkBoundaryWordFlipsAreRejected) {
@@ -836,86 +1124,6 @@ TEST(SegmentTest, ChunkBoundaryWordFlipsAreRejected) {
 }
 
 // ------------------------------------------------------ scheduled codec ---
-
-/// Equal decoded tables, column by column: the same rep, null mask, typed
-/// vectors (double bits exact), ciphertext arena (keys, blobs, counts, and
-/// whether it keeps per-row keys) and cells.
-void ExpectSameTable(const Table& got, const Table& want,
-                     const std::string& what) {
-  ASSERT_EQ(got.num_rows(), want.num_rows()) << what;
-  ASSERT_EQ(got.num_columns(), want.num_columns()) << what;
-  EXPECT_EQ(got.SerializeColumns(), want.SerializeColumns()) << what;
-  for (size_t c = 0; c < want.num_columns(); ++c) {
-    const ColumnData& g = got.col(c);
-    const ColumnData& w = want.col(c);
-    ASSERT_EQ(g.rep(), w.rep()) << what << " col " << c;
-    ASSERT_EQ(g.has_nulls(), w.has_nulls()) << what << " col " << c;
-    for (size_t row = 0; row < w.size(); ++row) {
-      ASSERT_EQ(g.IsNull(row), w.IsNull(row)) << what << " col " << c;
-    }
-    EXPECT_EQ(g.i64(), w.i64()) << what << " col " << c;
-    EXPECT_EQ(DoubleBits(g.f64()), DoubleBits(w.f64())) << what << " col " << c;
-    EXPECT_EQ(g.str(), w.str()) << what << " col " << c;
-    EXPECT_EQ(g.enc(), w.enc()) << what << " col " << c;
-    EXPECT_EQ(g.enc().mixed_keys(), w.enc().mixed_keys()) << what;
-    ASSERT_EQ(g.cells().size(), w.cells().size()) << what << " col " << c;
-    for (size_t row = 0; row < w.cells().size(); ++row) {
-      const Cell& a = g.cells()[row];
-      const Cell& b = w.cells()[row];
-      ASSERT_EQ(a.is_plain(), b.is_plain()) << what << " row " << row;
-      if (a.is_plain()) {
-        EXPECT_EQ(a.plain().Serialize(), b.plain().Serialize()) << what;
-      } else {
-        EXPECT_EQ(a.enc(), b.enc()) << what << " row " << row;
-      }
-    }
-  }
-}
-
-/// `t` rebuilt by appending its rows one at a time: what a decode must
-/// produce (a null mask that marks no row is dropped, for one).
-Table Reappended(const Table& t) {
-  Table out;
-  for (size_t c = 0; c < t.num_columns(); ++c) {
-    const ColumnData& src = t.col(c);
-    ColumnData d(src.rep());
-    for (size_t row = 0; row < src.size(); ++row) d.Append(src.GetCell(row));
-    out.AddColumn(t.columns()[c], std::move(d));
-  }
-  if (t.num_columns() == 0) {
-    for (size_t row = 0; row < t.num_rows(); ++row) out.AddRow({});
-  }
-  return out;
-}
-
-/// One ciphertext column of `rows` rows under `scheme`: every `null_every`th
-/// row NULL (0: none), blobs of varying length, and per row the key and
-/// Paillier count `key_of` / `aux_of` choose.
-Table EncTable(size_t rows, EncScheme scheme, size_t null_every,
-               const std::function<uint64_t(size_t)>& key_of,
-               const std::function<int64_t(size_t)>& aux_of) {
-  ExecColumn meta;
-  meta.attr = 1;
-  meta.name = "e";
-  meta.encrypted = true;
-  meta.scheme = scheme;
-  ColumnData d(ColumnRep::kEnc);
-  for (size_t r = 0; r < rows; ++r) {
-    if (null_every != 0 && r % null_every == 3) {
-      d.AppendNull();
-      continue;
-    }
-    EncValue ev;
-    ev.scheme = scheme;
-    ev.key_id = key_of(r);
-    ev.aux = aux_of(r);
-    ev.blob = std::string(r % 41, static_cast<char>('a' + r % 26));
-    d.Append(Cell(std::move(ev)));
-  }
-  Table t;
-  t.AddColumn(meta, std::move(d));
-  return t;
-}
 
 /// Every regime the scheduled codec must reproduce, by name.
 std::vector<std::pair<std::string, Table>> CodecTables() {
