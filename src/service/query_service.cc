@@ -117,6 +117,8 @@ QueryService::QueryService(const Catalog* catalog,
     counter("mpq_errors_total", "Executes returning non-OK", m.errors);
     counter("mpq_cache_hits_total", "Plan cache hits", m.cache_hits);
     counter("mpq_cache_misses_total", "Plan cache misses", m.cache_misses);
+    counter("mpq_cache_insertions_total", "Plans inserted into the cache",
+            m.cache_insertions);
     counter("mpq_cache_evictions_total", "Plan cache evictions",
             m.cache_evictions);
     counter("mpq_rows_returned_total", "Result rows delivered",
@@ -156,6 +158,10 @@ QueryService::QueryService(const Catalog* catalog,
         "# HELP mpq_morsel_queue_depth Morsels registered but not yet run\n"
         "# TYPE mpq_morsel_queue_depth gauge\nmpq_morsel_queue_depth %llu\n",
         static_cast<unsigned long long>(m.morsel_queue_depth)));
+    out->append(StrFormat(
+        "# HELP mpq_in_flight_peak Peak queries holding an admission slot\n"
+        "# TYPE mpq_in_flight_peak gauge\nmpq_in_flight_peak %llu\n",
+        static_cast<unsigned long long>(m.in_flight_peak)));
     out->append(StrFormat(
         "# HELP mpq_queue_depth_peak Peak in-flight plus queued queries\n"
         "# TYPE mpq_queue_depth_peak gauge\nmpq_queue_depth_peak %llu\n",

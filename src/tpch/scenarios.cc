@@ -75,4 +75,38 @@ Topology MakeScenarioTopology(const TpchEnv& env) {
   return Topology::PaperDefaults(env.subjects);
 }
 
+const std::vector<std::string>& ServingMixSql() {
+  static const std::vector<std::string> mix = {
+      // Q6: forecasting revenue change.
+      "select sum(l_extendedprice) from lineitem "
+      "where l_shipdate >= 730 and l_shipdate < 1095 "
+      "and l_discount >= 0.05 and l_discount <= 0.07 and l_quantity < 24.0",
+      // Q3: shipping priority.
+      "select o_orderkey, o_orderdate, o_shippriority, sum(l_extendedprice) "
+      "from customer join orders on c_custkey = o_custkey "
+      "join lineitem on o_orderkey = l_orderkey "
+      "where c_mktsegment = 'BUILDING' and o_orderdate < 1204 "
+      "and l_shipdate > 1204 "
+      "group by o_orderkey, o_orderdate, o_shippriority",
+      // Q10: returned item reporting.
+      "select c_custkey, c_name, n_name, sum(l_extendedprice) "
+      "from customer join orders on c_custkey = o_custkey "
+      "join lineitem on o_orderkey = l_orderkey "
+      "join nation on c_nationkey = n_nationkey "
+      "where o_orderdate >= 640 and o_orderdate < 730 "
+      "and l_returnflag = 'R' group by c_custkey, c_name, n_name",
+      // Q12: shipping modes (attr-attr comparison).
+      "select l_shipmode, count(*) from orders "
+      "join lineitem on o_orderkey = l_orderkey "
+      "where l_shipmode = 'MAIL' and l_receiptdate >= 730 "
+      "and l_receiptdate < 1095 and l_commitdate < l_receiptdate "
+      "group by l_shipmode",
+      // Q18 shape: large-volume customers via HAVING.
+      "select o_custkey, sum(l_extendedprice) from orders "
+      "join lineitem on o_orderkey = l_orderkey "
+      "group by o_custkey having sum(l_extendedprice) > 1000.0",
+  };
+  return mix;
+}
+
 }  // namespace mpq

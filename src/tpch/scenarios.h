@@ -11,6 +11,8 @@
 #define MPQ_TPCH_SCENARIOS_H_
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "authz/policy.h"
 #include "net/pricing.h"
@@ -32,6 +34,11 @@ Result<Policy> MakeScenarioPolicy(const TpchEnv& env, AuthScenario scenario);
 /// provider links, 100 Mbps client link).
 PricingTable MakeScenarioPricing(const TpchEnv& env);
 Topology MakeScenarioTopology(const TpchEnv& env);
+
+/// The serving mix: the SQL dialect's renderings of a TPC-H cross-section —
+/// selection-heavy Q6, the Q3 and Q10 join chains, Q12's attr-attr
+/// predicate and a Q18-shaped HAVING aggregate — in that order.
+const std::vector<std::string>& ServingMixSql();
 
 }  // namespace mpq
 

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/flat_hash.h"
+#include "common/str_util.h"
 #include "exec/failover.h"
 #include "net/pricing.h"
 #include "net/simnet.h"
@@ -514,6 +515,18 @@ TEST_F(ObsServiceTest, SlowQueryLogAndMetricsTextCoverExecutes) {
   EXPECT_NE(text.find("mpq_op_calls_total{op=\"base\"}"), std::string::npos)
       << text;
   EXPECT_NE(text.find("mpq_cache_entries"), std::string::npos) << text;
+  // Every serving counter ToJson reports has a series, at the same value.
+  ServiceMetrics m = service->Metrics();
+  EXPECT_NE(text.find(StrFormat("\nmpq_cache_insertions_total %llu\n",
+                                static_cast<unsigned long long>(
+                                    m.cache_insertions))),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find(StrFormat("\nmpq_in_flight_peak %llu\n",
+                                static_cast<unsigned long long>(
+                                    m.in_flight_peak))),
+            std::string::npos)
+      << text;
 }
 
 // -------------------------------------------------------- failover traces ---

@@ -14,35 +14,14 @@
 #include "exec/morsel.h"
 #include "net/simnet.h"
 #include "paper_example.h"
+#include "table_identity.h"
 
 namespace mpq {
 namespace {
 
+using testing::ExpectTablesIdentical;
 using testing::MakePaperExample;
 using testing::PaperExample;
-
-void ExpectCellsIdentical(const Cell& a, const Cell& b, const char* where) {
-  ASSERT_EQ(a.is_plain(), b.is_plain()) << where;
-  if (a.is_plain()) {
-    EXPECT_EQ(a.plain(), b.plain()) << where;
-  } else {
-    EXPECT_EQ(a.enc(), b.enc()) << where;
-  }
-}
-
-void ExpectTablesIdentical(const Table& a, const Table& b, const char* where) {
-  ASSERT_EQ(a.num_columns(), b.num_columns()) << where;
-  ASSERT_EQ(a.num_rows(), b.num_rows()) << where;
-  for (size_t i = 0; i < a.num_columns(); ++i) {
-    EXPECT_EQ(a.columns()[i].attr, b.columns()[i].attr) << where;
-    EXPECT_EQ(a.columns()[i].encrypted, b.columns()[i].encrypted) << where;
-  }
-  for (size_t r = 0; r < a.num_rows(); ++r) {
-    for (size_t c = 0; c < a.num_columns(); ++c) {
-      ExpectCellsIdentical(a.row(r)[c], b.row(r)[c], where);
-    }
-  }
-}
 
 class ParallelExecTest : public ::testing::Test {
  protected:

@@ -18,35 +18,14 @@
 #include "paper_example.h"
 #include "service/metrics.h"
 #include "service/query_service.h"
+#include "table_identity.h"
 
 namespace mpq {
 namespace {
 
+using testing::ExpectTablesIdentical;
 using testing::MakePaperExample;
 using testing::PaperExample;
-
-void ExpectCellsIdentical(const Cell& a, const Cell& b, const char* where) {
-  ASSERT_EQ(a.is_plain(), b.is_plain()) << where;
-  if (a.is_plain()) {
-    EXPECT_EQ(a.plain(), b.plain()) << where;
-  } else {
-    EXPECT_EQ(a.enc(), b.enc()) << where;
-  }
-}
-
-void ExpectTablesIdentical(const Table& a, const Table& b, const char* where) {
-  ASSERT_EQ(a.num_columns(), b.num_columns()) << where;
-  ASSERT_EQ(a.num_rows(), b.num_rows()) << where;
-  for (size_t i = 0; i < a.num_columns(); ++i) {
-    EXPECT_EQ(a.columns()[i].attr, b.columns()[i].attr) << where;
-    EXPECT_EQ(a.columns()[i].encrypted, b.columns()[i].encrypted) << where;
-  }
-  for (size_t r = 0; r < a.num_rows(); ++r) {
-    for (size_t c = 0; c < a.num_columns(); ++c) {
-      ExpectCellsIdentical(a.row(r)[c], b.row(r)[c], where);
-    }
-  }
-}
 
 /// Polls until every handle is done or `limit` passes; returns whether all
 /// finished. Never calls Wait(): a waiter helps drain the pool, which can
@@ -281,14 +260,17 @@ TEST_F(ServiceAsyncTest, FullServiceBurstNeverLivelocks) {
   auto reference = service->Execute(*stmt, *session);
   ASSERT_TRUE(reference.ok());
 
-  constexpr int kSubmissions = 400;
+  ServiceMetrics m0 = service->Metrics();
+  constexpr size_t kSubmissions = 400;
   std::vector<std::shared_ptr<AsyncQuery>> queries;
-  for (int i = 0; i < kSubmissions; ++i) {
+  size_t shed = 0;
+  for (size_t i = 0; i < kSubmissions; ++i) {
     auto q = service->ExecuteAsync(*stmt, *session);
     if (q.ok()) {
       queries.push_back(*q);
     } else {
       ASSERT_EQ(q.status().code(), StatusCode::kUnavailable);  // shed
+      ++shed;
     }
     std::this_thread::sleep_for(std::chrono::microseconds(20));
   }
@@ -309,7 +291,12 @@ TEST_F(ServiceAsyncTest, FullServiceBurstNeverLivelocks) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ExpectTablesIdentical(r->table, reference->table, "async under cap");
   }
-  EXPECT_EQ(service->Metrics().async_queries, queries.size());
+  // Every submission was either accepted or shed, and the service counted
+  // exactly the ones this caller saw.
+  ServiceMetrics m1 = service->Metrics();
+  EXPECT_EQ(queries.size() + shed, kSubmissions);
+  EXPECT_EQ(m1.async_queries - m0.async_queries, queries.size());
+  EXPECT_EQ(m1.sheds - m0.sheds, shed);
 }
 
 TEST_F(ServiceAsyncTest, CancelledParkedQueryReleasesItsSlot) {
