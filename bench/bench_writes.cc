@@ -12,8 +12,9 @@
 //
 // The reader half runs a group-by query through a QueryService pinned to a
 // TableStore while writer threads commit insert/delete pairs, reporting
-// p50/p95 against the idle baseline, and checks snapshot visibility: a
-// reader may only ever see fully committed writes.
+// p50/p95 against the idle baseline and the plan-cache hit rate under
+// writes (a write retires no cached plan, so it stays near 1), and checks
+// snapshot visibility: a reader may only ever see fully committed writes.
 //
 // Emits BENCH_writes.json (override with --json <path>).
 
@@ -262,9 +263,18 @@ int main(int argc, char** argv) {
     });
   }
   std::vector<double> busy_ms;
+  const ServiceMetrics busy0 = service.Metrics();
   timed_reads(&busy_ms, &visible_ok);
+  const ServiceMetrics busy1 = service.Metrics();
   stop.store(true, std::memory_order_release);
   for (auto& t : writers) t.join();
+  const uint64_t busy_hits = busy1.cache_hits - busy0.cache_hits;
+  const uint64_t busy_lookups =
+      busy_hits + (busy1.cache_misses - busy0.cache_misses);
+  const double busy_hit_rate =
+      busy_lookups == 0 ? 0
+                        : static_cast<double>(busy_hits) /
+                              static_cast<double>(busy_lookups);
 
   double idle_p50 = Percentile(idle_ms, 0.50);
   double idle_p95 = Percentile(idle_ms, 0.95);
@@ -278,6 +288,8 @@ int main(int argc, char** argv) {
   std::printf("  under write p50 %.3f ms  p95 %.3f ms  (%llu commits)\n",
               busy_p50, busy_p95,
               static_cast<unsigned long long>(commits.load()));
+  std::printf("  plan-cache hit rate under write: %.4f (%llu lookups)\n",
+              busy_hit_rate, static_cast<unsigned long long>(busy_lookups));
   std::printf("  snapshot visibility (reader sees only committed writes): "
               "%s\n",
               visible_ok ? "ok" : "VIOLATED");
@@ -291,6 +303,7 @@ int main(int argc, char** argv) {
   w.Key("idle_p95_ms").Double(idle_p95);
   w.Key("under_write_p50_ms").Double(busy_p50);
   w.Key("under_write_p95_ms").Double(busy_p95);
+  w.Key("cache_hit_rate").Double(busy_hit_rate);
   w.Key("write_commits").UInt(commits.load());
   w.Key("snapshot_epoch").UInt(store.snapshot_epoch());
   w.Key("visibility_ok").Bool(visible_ok);

@@ -48,8 +48,10 @@ void DistributedRuntime::DistributeKeys(const PlanKeys& keys, SubjectId user,
 Result<DistributedResult> DistributedRuntime::Run(const ExtendedPlan& ext,
                                                   SubjectId user,
                                                   QueryTrace* trace,
-                                                  uint64_t trace_parent) {
+                                                  uint64_t trace_parent,
+                                                  const BaseTables* tables) {
   DistributedResult out;
+  if (tables == nullptr) tables = &base_tables_;
 
   // The umbrella span of this run's distributed phase; fragment and
   // transfer spans nest under it.
@@ -182,9 +184,7 @@ Result<DistributedResult> DistributedRuntime::Run(const ExtendedPlan& ext,
     // nonces a node uses — ciphertexts are bit-identical at any thread count.
     ExecContext ctx;
     ctx.catalog = catalog_;
-    for (const auto& [rel, table] : base_tables_) {
-      ctx.base_tables[rel] = table;
-    }
+    ctx.base_view = tables;
     auto kr = keyrings_.find(s);
     ctx.keyring = kr == keyrings_.end() ? &kEmptyKeyring : &kr->second;
     ctx.dispatcher_keyring = &dispatcher_keyring_;

@@ -23,10 +23,13 @@
 // kUnavailable; the failover layer (exec/failover.h) then re-plans around
 // the subjects the net recorded as down.
 //
-// Once configured (tables loaded, keys distributed, crypto plan set), Run may
-// be called concurrently from many threads: each call draws a fresh nonce
-// seed from an atomic counter and touches only call-local state, which is
-// what lets the serving layer execute one cached plan under many sessions.
+// Once configured (keys distributed, crypto plan set), Run may be called
+// concurrently from many threads: each call draws a fresh nonce seed from an
+// atomic counter and touches only call-local state, which is what lets the
+// serving layer execute one cached plan under many sessions. The data a run
+// reads is either the runtime's loaded tables or a per-run table map passed
+// to Run — the serving layer passes the tables of the snapshot each request
+// pinned, so one cached plan serves every later snapshot.
 
 #ifndef MPQ_EXEC_DISTRIBUTED_H_
 #define MPQ_EXEC_DISTRIBUTED_H_
@@ -83,9 +86,7 @@ class DistributedRuntime {
   }
 
   /// Borrows the data of a base relation. The caller keeps `table` alive and
-  /// unchanged for the lifetime of the runtime — the serving layer uses this
-  /// so cached plans share one copy of the base data instead of duplicating
-  /// it per cache entry.
+  /// unchanged for the lifetime of the runtime.
   void LoadTableRef(RelId rel, const Table* table) {
     base_tables_[rel] = table;
   }
@@ -144,9 +145,14 @@ class DistributedRuntime {
   /// delivery, all under `trace_parent`. Tracing is observation-only:
   /// execution never reads the trace, so traced runs are bit-identical to
   /// untraced ones at any thread count.
+  ///
+  /// `tables` (borrowed for the call) is the base data this run reads in
+  /// place of the loaded tables; null reads the loaded tables. Every
+  /// fragment's engine points at the one map.
   Result<DistributedResult> Run(const ExtendedPlan& ext, SubjectId user,
                                 QueryTrace* trace = nullptr,
-                                uint64_t trace_parent = 0);
+                                uint64_t trace_parent = 0,
+                                const BaseTables* tables = nullptr);
 
   /// The keyring held by `subject` (for inspection in tests).
   const KeyRing& keyring(SubjectId subject) const {
@@ -159,7 +165,7 @@ class DistributedRuntime {
   const Catalog* catalog_;
   const SubjectRegistry* subjects_;
   std::map<RelId, Table> owned_tables_;
-  std::map<RelId, const Table*> base_tables_;
+  BaseTables base_tables_;
   std::map<SubjectId, KeyRing> keyrings_;
   KeyRing dispatcher_keyring_;
   /// Public Paillier moduli, shared into every per-node ExecContext by

@@ -2174,8 +2174,7 @@ Result<Table> DispatchNode(const PlanNode* n, std::vector<Table> inputs,
   }
   switch (n->kind) {
     case OpKind::kBase: {
-      auto it = ctx->base_tables.find(n->rel);
-      if (it != ctx->base_tables.end()) return *it->second;  // copy
+      if (const Table* t = ctx->BaseTable(n->rel)) return *t;  // copy
       // Cold relations are published as compressed segments; the first scan
       // decodes (and caches) the whole table.
       auto st = ctx->segment_tables.find(n->rel);
@@ -2321,7 +2320,7 @@ Result<Table> ExecutePlan(const PlanNode* root, ExecContext* ctx) {
   if (root->kind == OpKind::kSelect && root->num_children() == 1 &&
       root->child(0)->kind == OpKind::kBase) {
     const PlanNode* base = root->child(0);
-    if (ctx->base_tables.find(base->rel) == ctx->base_tables.end()) {
+    if (ctx->BaseTable(base->rel) == nullptr) {
       auto st = ctx->segment_tables.find(base->rel);
       if (st != ctx->segment_tables.end()) {
         MPQ_ASSIGN_OR_RETURN(Table in, ZoneMapScan(*st->second, root, ctx));

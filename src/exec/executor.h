@@ -58,6 +58,9 @@ using UdfImpl = std::function<Result<Cell>(const std::vector<Cell>&)>;
 /// instances once per operator.
 using HomKeyDirectory = std::unordered_map<uint64_t, uint64_t>;
 
+/// Borrowed base-relation data by relation id.
+using BaseTables = std::unordered_map<RelId, const Table*>;
+
 /// Execution environment. `keyring` holds the keys available to the engine
 /// performing encryption/decryption operators — an engine without a key fails
 /// with kNotFound, which is exactly the enforcement property key distribution
@@ -67,7 +70,11 @@ using HomKeyDirectory = std::unordered_map<uint64_t, uint64_t>;
 /// already formulated on encrypted values).
 struct ExecContext {
   const Catalog* catalog = nullptr;
-  std::unordered_map<RelId, const Table*> base_tables;
+  BaseTables base_tables;
+  /// When set, base relations are read from this map instead of
+  /// `base_tables`: a runtime building one context per plan node points
+  /// every context at one per-run map rather than copying it into each.
+  const BaseTables* base_view = nullptr;
   const KeyRing* keyring = nullptr;
   const KeyRing* dispatcher_keyring = nullptr;
   /// Public Paillier moduli per key id (public knowledge; homomorphic
@@ -142,6 +149,13 @@ struct ExecContext {
   std::atomic<uint64_t> spill_generations{0};  ///< Max recursion depth + 1.
   std::atomic<uint64_t> segments_skipped{0};  ///< Segments pruned by zones.
   std::atomic<uint64_t> segments_scanned{0};  ///< Segments considered.
+
+  /// The table bound to `rel` (through `base_view` when set), or null.
+  const Table* BaseTable(RelId rel) const {
+    const BaseTables& tables = base_view != nullptr ? *base_view : base_tables;
+    auto it = tables.find(rel);
+    return it == tables.end() ? nullptr : it->second;
+  }
 
   uint64_t NextNonce() {
     return nonce.fetch_add(1, std::memory_order_relaxed) + 1;

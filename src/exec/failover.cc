@@ -41,7 +41,6 @@ Result<FailoverOutcome> FailoverExecutor::Attempt(const PlanNode* plan,
 
   PlanKeys keys = DeriveQueryPlanKeys(out.assignment.extended);
   DistributedRuntime rt(catalog_, subjects_);
-  for (const auto& [rel, table] : tables_) rt.LoadTableRef(rel, table);
   // A fresh key seed per attempt: nothing the abandoned attempt shipped is
   // decryptable under the recovery plan's keys.
   rt.DistributeKeys(
@@ -58,7 +57,8 @@ Result<FailoverOutcome> FailoverExecutor::Attempt(const PlanNode* plan,
   MPQ_ASSIGN_OR_RETURN(
       out.result,
       rt.Run(out.assignment.extended, user, config_.trace,
-             parent_span != 0 ? parent_span : config_.trace_parent));
+             parent_span != 0 ? parent_span : config_.trace_parent,
+             &tables_));
   excluded.ForEach(
       [&](AttrId s) { out.excluded.push_back(static_cast<SubjectId>(s)); });
   return out;

@@ -19,7 +19,6 @@
 #ifndef MPQ_EXEC_FAILOVER_H_
 #define MPQ_EXEC_FAILOVER_H_
 
-#include <map>
 #include <vector>
 
 #include "assign/assignment.h"
@@ -108,7 +107,7 @@ class FailoverExecutor {
   const Topology* topology_;
   SimNet* net_;
   FailoverConfig config_;
-  std::map<RelId, const Table*> tables_;
+  BaseTables tables_;
 };
 
 }  // namespace mpq

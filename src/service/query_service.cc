@@ -33,14 +33,13 @@ size_t QueryService::PlanCacheKeyHash::operator()(
   h = SplitMix64(h ^ k.catalog_version * 0xbf58476d1ce4e5b9ull);
   h = SplitMix64(h ^ k.policy_epoch * 0x94d049bb133111ebull);
   h = SplitMix64(h ^ k.net_epoch * 0xd6e8feb86659fd93ull);
-  h = SplitMix64(h ^ k.snapshot_epoch * 0xa0761d6478bd642full);
   return static_cast<size_t>(h);
 }
 
 size_t QueryService::PlanCacheKeyHash::operator()(const PlanCacheKey& k) const {
   return operator()(PlanCacheKeyRef{k.normalized_sql, k.subject,
                                     k.catalog_version, k.policy_epoch,
-                                    k.net_epoch, k.snapshot_epoch});
+                                    k.net_epoch});
 }
 
 /// Blocks until the in-flight count drops below the cap, then holds a slot
@@ -215,6 +214,23 @@ QueryService::~QueryService() = default;
 void QueryService::LoadTable(RelId rel, const Table* data) {
   std::lock_guard<std::mutex> lock(tables_mu_);
   tables_[rel] = data;
+}
+
+BaseTables QueryService::RequestTables(const Snapshot* snapshot) const {
+  BaseTables tables;
+  {
+    std::lock_guard<std::mutex> lock(tables_mu_);
+    tables = tables_;
+  }
+  if (snapshot == nullptr) return tables;
+  for (const auto& [rel, table] : snapshot->tables) tables[rel] = table.get();
+  // Cold (segment-backed) relations decode on first touch; the memoized
+  // table lives as long as the snapshot.
+  for (const auto& [rel, seg] : snapshot->cold) {
+    (void)seg;
+    if (const Table* t = snapshot->Get(rel)) tables[rel] = t;
+  }
+  return tables;
 }
 
 Result<Session> QueryService::OpenSession(SubjectId subject) {
@@ -562,7 +578,6 @@ QueryService::BuildPreparedPlan(const std::string& normalized_sql,
                                 const AstSelect* ast, SubjectId subject,
                                 uint64_t policy_epoch,
                                 uint64_t catalog_version,
-                                std::shared_ptr<const Snapshot> snapshot,
                                 QueryTrace* trace, uint64_t trace_parent) {
   AstSelect parsed;
   if (ast == nullptr) {
@@ -655,28 +670,6 @@ QueryService::BuildPreparedPlan(const std::string& normalized_sql,
                                : Span();
   entry->keys = DeriveQueryPlanKeys(entry->assignment.extended);
   entry->runtime = std::make_unique<DistributedRuntime>(catalog_, subjects_);
-  {
-    std::lock_guard<std::mutex> lock(tables_mu_);
-    for (const auto& [rel, table] : tables_) {
-      entry->runtime->LoadTableRef(rel, table);
-    }
-  }
-  // Store-managed relations shadow static registrations: the runtime reads
-  // the pinned snapshot's version, and the PreparedPlan keeps the snapshot
-  // alive for as long as the cache may serve this plan.
-  if (snapshot != nullptr) {
-    for (const auto& [rel, table] : snapshot->tables) {
-      entry->runtime->LoadTableRef(rel, table.get());
-    }
-    // Cold (segment-backed) relations decode on first touch; the memoized
-    // table lives as long as the pinned snapshot.
-    for (const auto& [rel, seg] : snapshot->cold) {
-      (void)seg;
-      const Table* t = snapshot->Get(rel);
-      if (t != nullptr) entry->runtime->LoadTableRef(rel, t);
-    }
-    entry->snapshot = std::move(snapshot);
-  }
   uint64_t seed = SplitMix64(config_.key_seed ^
                              std::hash<std::string>{}(normalized_sql));
   seed = SplitMix64(seed ^
@@ -727,9 +720,10 @@ Result<QueryResponse> QueryService::ExecuteInternal(
   // after a policy or schema mutation returns is keyed past the stale
   // entries, which therefore can never serve it. The key is a borrowed view
   // of the caller's normalized SQL — a cache hit copies no statement text.
-  // Pin the store snapshot once, up front: everything this request reads
-  // comes from this one immutable version, and the id keys the cache so a
-  // write publication retires plans built over the superseded snapshot.
+  // The store snapshot is pinned once, up front: everything this request
+  // reads comes from this one immutable version. It is not part of the key:
+  // a plan depends on catalog cardinalities, never on the rows, so the
+  // snapshot's tables are bound per run instead.
   std::shared_ptr<const Snapshot> snapshot =
       config_.store != nullptr ? config_.store->Current() : nullptr;
 
@@ -739,7 +733,6 @@ Result<QueryResponse> QueryService::ExecuteInternal(
   key.catalog_version = catalog_->version();
   key.policy_epoch = policy_->epoch();
   key.net_epoch = config_.net != nullptr ? config_.net->liveness_epoch() : 0;
-  key.snapshot_epoch = snapshot != nullptr ? snapshot->id : 0;
 
   Span probe = trace != nullptr
                    ? trace->StartSpan("cache_probe", "cache", root_span)
@@ -753,8 +746,8 @@ Result<QueryResponse> QueryService::ExecuteInternal(
   if (entry == nullptr) {
     auto built =
         BuildPreparedPlan(normalized_sql, ast, session.subject(),
-                          key.policy_epoch, key.catalog_version, snapshot,
-                          trace.get(), root_span);
+                          key.policy_epoch, key.catalog_version, trace.get(),
+                          root_span);
     if (!built.ok()) {
       errors_.fetch_add(1, std::memory_order_relaxed);
       if (root) root.AnnStr("error", built.status().ToString());
@@ -763,9 +756,7 @@ Result<QueryResponse> QueryService::ExecuteInternal(
     if (policy_->epoch() == key.policy_epoch &&
         catalog_->version() == key.catalog_version &&
         (config_.net == nullptr ||
-         config_.net->liveness_epoch() == key.net_epoch) &&
-        (config_.store == nullptr ||
-         config_.store->snapshot_epoch() == key.snapshot_epoch)) {
+         config_.net->liveness_epoch() == key.net_epoch)) {
       entry = cache_.PutIfAbsent(key, std::move(*built));
     } else {
       // The policy, schema, or network liveness moved while we were
@@ -778,10 +769,12 @@ Result<QueryResponse> QueryService::ExecuteInternal(
   double plan_s = SecondsSince(t0);
 
   auto t1 = Clock::now();
+  const BaseTables tables = RequestTables(snapshot.get());
   uint64_t delivered_before =
       config_.net != nullptr ? config_.net->GetStats().bytes_delivered : 0;
-  Result<DistributedResult> run = entry->runtime->Run(
-      entry->assignment.extended, session.subject(), trace.get(), root_span);
+  Result<DistributedResult> run =
+      entry->runtime->Run(entry->assignment.extended, session.subject(),
+                          trace.get(), root_span, &tables);
 
   // Retry-on-failover: a provider died under the cached plan. Retire the
   // entry (the next request re-plans around the down subjects) and recover
@@ -816,23 +809,8 @@ Result<QueryResponse> QueryService::ExecuteInternal(
     fc.trace_parent = root_span;
     FailoverExecutor failover(catalog_, subjects_, policy_, prices_,
                               topology_, config_.net, fc);
-    {
-      std::lock_guard<std::mutex> lock(tables_mu_);
-      for (const auto& [rel, table] : tables_) {
-        failover.LoadTable(rel, table);
-      }
-    }
-    // The recovery reads the same pinned snapshot the failed run did.
-    if (entry->snapshot != nullptr) {
-      for (const auto& [rel, table] : entry->snapshot->tables) {
-        failover.LoadTable(rel, table.get());
-      }
-      for (const auto& [rel, seg] : entry->snapshot->cold) {
-        (void)seg;
-        const Table* t = entry->snapshot->Get(rel);
-        if (t != nullptr) failover.LoadTable(rel, t);
-      }
-    }
+    // The recovery reads the same tables the failed run did.
+    for (const auto& [rel, table] : tables) failover.LoadTable(rel, table);
     Result<FailoverOutcome> recovered =
         failover.Recover(entry->bound_plan.get(), session.subject());
     if (recovered.ok()) {
@@ -897,7 +875,7 @@ Result<QueryResponse> QueryService::ExecuteInternal(
   response.stats.cache = outcome;
   response.stats.policy_epoch = plan_epoch;
   response.stats.catalog_version = plan_catalog_version;
-  response.stats.snapshot_id = key.snapshot_epoch;
+  response.stats.snapshot_id = snapshot != nullptr ? snapshot->id : 0;
   response.stats.result_rows = response.table.num_rows();
   response.stats.transfer_bytes = run->total_transfer_bytes;
   response.stats.num_messages = run->num_messages;

@@ -3,8 +3,11 @@
 //
 // The expensive front half (parse → bind → authorize → candidate enumeration
 // → assignment optimization → key derivation) runs once per distinct
-// (statement, subject, catalog version, policy epoch) and is memoized in a
-// mutex-striped LRU cache; repeated queries pay only distributed execution.
+// (statement, subject, catalog version, policy epoch, net liveness epoch) and
+// is memoized in a mutex-striped LRU cache; repeated queries pay only
+// distributed execution. A cached plan holds no data: each run reads the
+// tables of the snapshot its request pinned, so writes never retire plans
+// (costing reads catalog cardinalities, never the rows).
 //
 // Safety invariant: a cached plan never executes under a policy it was not
 // authorized against. The cache key embeds the policy epoch and catalog
@@ -85,9 +88,9 @@ struct ServiceConfig {
   /// Versioned table storage (borrowed; may be null = static tables only).
   /// With a store attached, every Execute pins the store's current Snapshot
   /// up front and reads exclusively from it: a write committing mid-query
-  /// is invisible to in-flight requests, and the snapshot id joins the plan
-  /// cache key, so a cached plan never serves rows from a superseded
-  /// snapshot. Store-managed relations shadow LoadTable registrations.
+  /// is invisible to in-flight requests. The pinned snapshot's tables are
+  /// bound per run, so a cached plan serves every later snapshot and holds
+  /// none. Store-managed relations shadow LoadTable registrations.
   TableStore* store = nullptr;
 };
 
@@ -204,8 +207,8 @@ class QueryService {
 
   /// Registers the data of a base relation (borrowed; the caller keeps it
   /// alive and unchanged while the service runs). Safe to call concurrently
-  /// with Execute; plans cached before the call keep serving from the
-  /// tables they were built against.
+  /// with Execute; requests starting after the call read the new table,
+  /// cached plans included.
   void LoadTable(RelId rel, const Table* data);
 
   /// Opens a session for a registered subject.
@@ -323,10 +326,6 @@ class QueryService {
     /// built around a down provider stops being served once liveness
     /// changes, instead of outliving the outage.
     uint64_t net_epoch = 0;
-    /// TableStore snapshot id at request start (0 without a store): a
-    /// cached plan's runtime borrows tables of one snapshot, so any write
-    /// publication moves new requests past the stale entry.
-    uint64_t snapshot_epoch = 0;
   };
   struct PlanCacheKey {
     std::string normalized_sql;
@@ -334,7 +333,6 @@ class QueryService {
     uint64_t catalog_version = 0;
     uint64_t policy_epoch = 0;
     uint64_t net_epoch = 0;
-    uint64_t snapshot_epoch = 0;
 
     PlanCacheKey() = default;
     explicit PlanCacheKey(const PlanCacheKeyRef& ref)
@@ -342,13 +340,11 @@ class QueryService {
           subject(ref.subject),
           catalog_version(ref.catalog_version),
           policy_epoch(ref.policy_epoch),
-          net_epoch(ref.net_epoch),
-          snapshot_epoch(ref.snapshot_epoch) {}
+          net_epoch(ref.net_epoch) {}
 
     bool operator==(const PlanCacheKeyRef& o) const {
       return subject == o.subject && catalog_version == o.catalog_version &&
              policy_epoch == o.policy_epoch && net_epoch == o.net_epoch &&
-             snapshot_epoch == o.snapshot_epoch &&
              normalized_sql == o.normalized_sql;
     }
   };
@@ -359,17 +355,15 @@ class QueryService {
   };
 
   /// One memoized front-half result: the authorized minimum-cost extended
-  /// plan and a runtime ready to execute it (tables borrowed, keys
-  /// distributed, crypto plan installed). Immutable after construction
-  /// except the runtime's atomic nonce sequence — concurrent Run is safe.
+  /// plan and a runtime ready to execute it (keys distributed, crypto plan
+  /// installed; no data — each run is handed its request's tables).
+  /// Immutable after construction except the runtime's atomic nonce
+  /// sequence — concurrent Run is safe.
   struct PreparedPlan {
     PlanPtr bound_plan;  ///< Keeps original nodes alive for the extended tree.
     AssignmentResult assignment;
     PlanKeys keys;
     std::unique_ptr<DistributedRuntime> runtime;
-    /// Pins the store snapshot the runtime's table references point into —
-    /// a later publication can never free tables under a cached plan.
-    std::shared_ptr<const Snapshot> snapshot;
     uint64_t policy_epoch = 0;
     uint64_t catalog_version = 0;
     /// Cost-model estimates over the extended plan (refined schemes), keyed
@@ -420,8 +414,10 @@ class QueryService {
   Result<std::shared_ptr<PreparedPlan>> BuildPreparedPlan(
       const std::string& normalized_sql, const AstSelect* ast,
       SubjectId subject, uint64_t policy_epoch, uint64_t catalog_version,
-      std::shared_ptr<const Snapshot> snapshot, QueryTrace* trace,
-      uint64_t trace_parent);
+      QueryTrace* trace, uint64_t trace_parent);
+  /// The base data one request reads: LoadTable registrations, shadowed by
+  /// the relations of `snapshot` (null = none) when a store is attached.
+  BaseTables RequestTables(const Snapshot* snapshot) const;
   /// Resolves a (relation, column) pair for the counter APIs and checks the
   /// session subject's plaintext visibility over the column's attribute.
   Result<std::pair<RelId, int>> ResolveCounterColumn(
@@ -436,7 +432,7 @@ class QueryService {
   ServiceConfig config_;
 
   mutable std::mutex tables_mu_;
-  std::map<RelId, const Table*> tables_;  // guarded by tables_mu_
+  BaseTables tables_;  // guarded by tables_mu_
   /// The global morsel queue (over pool_) every cached plan's runtime and
   /// every failover runtime enqueues on — one task pool for all concurrent
   /// queries. Null when the service executes inline.

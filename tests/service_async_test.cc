@@ -144,13 +144,19 @@ TEST_F(ServiceAsyncTest, CancelBeforeFirstMorsel) {
   ServiceMetrics m0 = service->Metrics();
 
   // Park the only worker so the submitted query cannot start.
-  std::atomic<bool> entered{false};
-  std::atomic<bool> release{false};
-  ASSERT_TRUE(service->pool()->Submit([&] {
-    entered.store(true);
-    while (!release.load()) std::this_thread::yield();
+  // The gate lives on the heap, shared with the parked task: the worker can
+  // still be spinning on it when the service destructor joins the pool,
+  // after this frame's locals are gone.
+  struct Gate {
+    std::atomic<bool> entered{false};
+    std::atomic<bool> release{false};
+  };
+  auto gate = std::make_shared<Gate>();
+  ASSERT_TRUE(service->pool()->Submit([gate] {
+    gate->entered.store(true);
+    while (!gate->release.load()) std::this_thread::yield();
   }));
-  while (!entered.load()) std::this_thread::yield();
+  while (!gate->entered.load()) std::this_thread::yield();
 
   auto query = service->ExecuteAsync(*stmt, *session);
   ASSERT_TRUE(query.ok());
@@ -159,7 +165,7 @@ TEST_F(ServiceAsyncTest, CancelBeforeFirstMorsel) {
   // query may execute afterwards.
   EXPECT_TRUE((*query)->Cancel());
   EXPECT_FALSE((*query)->Cancel());  // already cancelled
-  release.store(true);
+  gate->release.store(true);
 
   const Result<QueryResponse>& r = (*query)->Wait();
   ASSERT_FALSE(r.ok());
@@ -200,13 +206,19 @@ TEST_F(ServiceAsyncTest, ShedsAtQueueDepthCap) {
   ASSERT_TRUE(stmt.ok());
   ASSERT_TRUE(service->Execute(*stmt, *session).ok());
 
-  std::atomic<bool> entered{false};
-  std::atomic<bool> release{false};
-  ASSERT_TRUE(service->pool()->Submit([&] {
-    entered.store(true);
-    while (!release.load()) std::this_thread::yield();
+  // The gate lives on the heap, shared with the parked task: the worker can
+  // still be spinning on it when the service destructor joins the pool,
+  // after this frame's locals are gone.
+  struct Gate {
+    std::atomic<bool> entered{false};
+    std::atomic<bool> release{false};
+  };
+  auto gate = std::make_shared<Gate>();
+  ASSERT_TRUE(service->pool()->Submit([gate] {
+    gate->entered.store(true);
+    while (!gate->release.load()) std::this_thread::yield();
   }));
-  while (!entered.load()) std::this_thread::yield();
+  while (!gate->entered.load()) std::this_thread::yield();
 
   // With the worker parked, submissions queue until the depth cap and the
   // rest shed with kUnavailable, nothing enqueued.
@@ -223,7 +235,7 @@ TEST_F(ServiceAsyncTest, ShedsAtQueueDepthCap) {
   }
   EXPECT_EQ(accepted.size(), 2u);
   EXPECT_EQ(shed, 3u);
-  release.store(true);
+  gate->release.store(true);
   for (auto& q : accepted) EXPECT_TRUE(q->Wait().ok());
 
   ServiceMetrics m = service->Metrics();

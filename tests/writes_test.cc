@@ -1,30 +1,36 @@
 // Write-path tests: MVCC snapshot isolation of the TableStore, write
-// statement execution and authorization through the service, plan-cache
-// invalidation across writes (a cached plan must never serve rows of a
-// superseded snapshot), MRV counter semantics (invariant total >= 0,
-// rollback, balance/adjust), and a concurrent-writer differential test
-// against a serial oracle: the same set of statements applied by 1, 2, and
-// 8 writer threads must converge to the bit-identical store state the
-// serial application produces.
+// statement execution and authorization through the service, the plan cache
+// across writes (a cached plan survives every write, reads exactly the
+// snapshot its request pinned, and pins none itself — checked against the
+// row oracle, concurrently, and through a provider crash), MRV counter
+// semantics (invariant total >= 0, rollback, balance/adjust), and a
+// concurrent-writer differential test against a serial oracle: the same set
+// of statements applied by 1, 2, and 8 writer threads must converge to the
+// bit-identical store state the serial application produces.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/str_util.h"
+#include "exec/failover.h"
 #include "exec/mrv.h"
 #include "exec/table_store.h"
 #include "exec/write_executor.h"
 #include "net/pricing.h"
+#include "net/simnet.h"
 #include "net/topology.h"
 #include "paper_example.h"
 #include "service/query_service.h"
+#include "sql/binder.h"
 #include "sql/parser.h"
+#include "testing/reference_exec.h"
 
 namespace mpq {
 namespace {
@@ -149,6 +155,21 @@ class WritesTest : public ::testing::Test {
     return std::make_unique<QueryService>(&ex_->catalog, &ex_->subjects,
                                           ex_->policy.get(), &prices_, &topo_,
                                           config);
+  }
+
+  /// Canonical row-oracle result of `sql` over the tables of `snap`.
+  std::vector<std::string> OracleRows(const std::string& sql,
+                                      const Snapshot& snap) {
+    Result<PlanPtr> plan = PlanFromSql(sql, ex_->catalog);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    if (!plan.ok()) return {};
+    ReferenceExecutor oracle(&ex_->catalog);
+    for (RelId rel : {ex_->hosp, ex_->ins}) {
+      oracle.LoadTable(rel, snap.Get(rel));
+    }
+    Result<Table> t = oracle.Run(plan->get());
+    EXPECT_TRUE(t.ok()) << t.status().ToString();
+    return t.ok() ? CanonicalRows(*t) : std::vector<std::string>{};
   }
 
   std::unique_ptr<PaperExample> ex_;
@@ -293,13 +314,239 @@ TEST_F(WritesTest, NoStalePlanServedAcrossAWrite) {
                       "insert into Hosp values (700, 1, 'stroke', 'tpa')", h)
                   .ok());
 
-  // The write advanced the snapshot epoch: the cached plan is unreachable
-  // and the re-planned query sees the new row.
+  // The write advanced the snapshot epoch. The cached plan still serves
+  // (it holds no data), and its run reads the new snapshot's row.
   auto r3 = service->ExecuteSql(sql, u);
   ASSERT_TRUE(r3.ok());
-  EXPECT_EQ(r3->stats.cache, CacheOutcome::kMiss);
+  EXPECT_EQ(r3->stats.cache, CacheOutcome::kHit);
   EXPECT_EQ(r3->table.num_rows(), 4u);
   EXPECT_GT(r3->stats.snapshot_id, r2->stats.snapshot_id);
+  // The write caused no re-plan.
+  ServiceMetrics m = service->Metrics();
+  EXPECT_EQ(m.cache_misses, 1u);
+  EXPECT_EQ(m.cache_insertions, 1u);
+}
+
+TEST_F(WritesTest, SupersededSnapshotIsReleased) {
+  auto store = MakeStore();
+  auto service = MakeService(store.get());
+  Session h = *service->OpenSession(ex_->H);
+  Session u = *service->OpenSession(ex_->U);
+  const std::string sql = "select S from Hosp where D = 'stroke'";
+
+  std::weak_ptr<const Snapshot> old_snapshot = store->Current();
+  auto r1 = service->ExecuteSql(sql, u);
+  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+  auto r2 = service->ExecuteSql(sql, u);
+  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+  EXPECT_EQ(r2->stats.cache, CacheOutcome::kHit);
+  ASSERT_TRUE(service
+                  ->ExecuteWrite(
+                      "insert into Hosp values (710, 1, 'stroke', 'tpa')", h)
+                  .ok());
+  auto r3 = service->ExecuteSql(sql, u);
+  ASSERT_TRUE(r3.ok()) << r3.status().ToString();
+  EXPECT_EQ(r3->stats.cache, CacheOutcome::kHit);
+  EXPECT_EQ(service->CacheEntries(), 1u);
+  // Nothing the cache holds keeps the superseded snapshot alive.
+  EXPECT_TRUE(old_snapshot.expired());
+}
+
+TEST_F(WritesTest, CachedPlanServesEveryLaterSnapshot) {
+  auto store = MakeStore();
+  auto service = MakeService(store.get());
+  Session h = *service->OpenSession(ex_->H);
+  Session u = *service->OpenSession(ex_->U);
+  const std::string sql = "select S, T from Hosp where D = 'stroke'";
+
+  auto first = service->ExecuteSql(sql, u);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->stats.cache, CacheOutcome::kMiss);
+  EXPECT_EQ(CanonicalRows(first->table), OracleRows(sql, *store->Current()));
+
+  const std::vector<std::string> writes = {
+      "insert into Hosp values (720, 1, 'stroke', 'tpa'), "
+      "(721, 2, 'stroke', 'rest')",
+      "update Hosp set T = 'surgery' where S = 100",
+      "update Hosp set D = 'flu' where S = 721",
+      "delete from Hosp where S = 102",
+      "insert into Hosp values (722, 3, 'stroke', 'tpa')",
+      "delete from Hosp where D = 'stroke'",
+  };
+  uint64_t last_snapshot = first->stats.snapshot_id;
+  for (const std::string& write : writes) {
+    Result<WriteResult> w = service->ExecuteWrite(write, h);
+    ASSERT_TRUE(w.ok()) << write << ": " << w.status().ToString();
+    auto r = service->ExecuteSql(sql, u);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->stats.cache, CacheOutcome::kHit) << write;
+    EXPECT_GT(r->stats.snapshot_id, last_snapshot) << write;
+    EXPECT_EQ(r->stats.snapshot_id, w->snapshot_id) << write;
+    std::shared_ptr<const Snapshot> snap = store->Current();
+    ASSERT_EQ(snap->id, r->stats.snapshot_id);
+    EXPECT_EQ(CanonicalRows(r->table), OracleRows(sql, *snap)) << write;
+    last_snapshot = r->stats.snapshot_id;
+  }
+  ServiceMetrics m = service->Metrics();
+  EXPECT_EQ(m.cache_misses, 1u);
+  EXPECT_EQ(m.cache_hits, writes.size());
+}
+
+TEST_F(WritesTest, ConcurrentReadersMatchTheOracleAtTheirSnapshot) {
+  const std::string sql = "select S, T from Hosp where D = 'stroke'";
+  // One writer publishes a fixed statement sequence; after each commit it
+  // pins the snapshot it published, so every id a reader reports maps to
+  // the exact tables the oracle must see.
+  std::vector<std::string> writes;
+  for (int i = 0; i < 24; ++i) {
+    const int s = 800 + i;
+    writes.push_back(StrFormat(
+        "insert into Hosp values (%d, %d, 'stroke', 't%d')", s, i, i % 3));
+    if (i % 3 == 1) {
+      writes.push_back(StrFormat("update Hosp set T = 'u' where S = %d", s - 1));
+    }
+    if (i % 4 == 3) {
+      writes.push_back(StrFormat("delete from Hosp where S = %d", s - 2));
+    }
+  }
+
+  for (int threads : {1, 2, 8}) {
+    auto store = MakeStore();
+    ServiceConfig config;
+    config.exec_threads = static_cast<size_t>(threads);
+    auto service = MakeService(store.get(), config);
+    Session h = *service->OpenSession(ex_->H);
+    Session u = *service->OpenSession(ex_->U);
+    auto warm = service->ExecuteSql(sql, u);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    const ServiceMetrics m0 = service->Metrics();
+
+    std::map<uint64_t, std::shared_ptr<const Snapshot>> published;
+    std::shared_ptr<const Snapshot> initial = store->Current();
+    published[initial->id] = initial;
+
+    struct Read {
+      uint64_t snapshot_id;
+      CacheOutcome cache;
+      std::vector<std::string> rows;
+    };
+    std::vector<std::vector<Read>> reads(static_cast<size_t>(threads));
+    std::atomic<bool> stop{false};
+    std::atomic<int> errors{0};
+    std::vector<std::thread> readers;
+    readers.reserve(static_cast<size_t>(threads));
+    for (int t = 0; t < threads; ++t) {
+      readers.emplace_back([&, t] {
+        // At least a few reads each, then until the writer is done.
+        for (int i = 0; i < 4 || !stop.load(std::memory_order_acquire);
+             ++i) {
+          auto r = service->ExecuteSql(sql, u);
+          if (!r.ok()) {
+            errors.fetch_add(1);
+            continue;
+          }
+          reads[static_cast<size_t>(t)].push_back(
+              {r->stats.snapshot_id, r->stats.cache,
+               CanonicalRows(r->table)});
+        }
+      });
+    }
+    for (const std::string& write : writes) {
+      Result<WriteResult> w = service->ExecuteWrite(write, h);
+      if (!w.ok()) {
+        errors.fetch_add(1);
+        continue;
+      }
+      std::shared_ptr<const Snapshot> snap = store->Current();
+      EXPECT_EQ(snap->id, w->snapshot_id);
+      published[snap->id] = std::move(snap);
+    }
+    stop.store(true, std::memory_order_release);
+    for (auto& r : readers) r.join();
+    ASSERT_EQ(errors.load(), 0) << "threads=" << threads;
+
+    std::map<uint64_t, std::vector<std::string>> oracle;
+    size_t checked = 0;
+    for (const std::vector<Read>& per_thread : reads) {
+      for (const Read& r : per_thread) {
+        auto snap = published.find(r.snapshot_id);
+        ASSERT_NE(snap, published.end())
+            << "threads=" << threads << " unknown snapshot " << r.snapshot_id;
+        auto want = oracle.find(r.snapshot_id);
+        if (want == oracle.end()) {
+          want = oracle.emplace(r.snapshot_id, OracleRows(sql, *snap->second))
+                     .first;
+        }
+        EXPECT_EQ(r.cache, CacheOutcome::kHit) << "threads=" << threads;
+        EXPECT_EQ(r.rows, want->second)
+            << "threads=" << threads << " snapshot " << r.snapshot_id;
+        ++checked;
+      }
+    }
+    EXPECT_GE(checked, static_cast<size_t>(4 * threads));
+    const ServiceMetrics m1 = service->Metrics();
+    EXPECT_EQ(m1.cache_misses, m0.cache_misses) << "threads=" << threads;
+    EXPECT_EQ(m1.cache_hits - m0.cache_hits, checked) << "threads=" << threads;
+  }
+}
+
+TEST_F(WritesTest, ProviderCrashUnderACachedPlanRecoversOverTheRequestSnapshot) {
+  const std::string sql =
+      "select T, avg(P) from Hosp join Ins on S = C "
+      "where D = 'stroke' group by T having avg(P) > 100";
+  // Probe which provider step the optimizer picks for the same query.
+  Table hosp = ex_->HospData();
+  Table ins = ex_->InsData();
+  PlanPtr plan = ex_->BuildQueryPlan();
+  SimNet probe_net(&ex_->subjects);
+  FailoverExecutor probe(&ex_->catalog, &ex_->subjects, ex_->policy.get(),
+                         &prices_, &topo_, &probe_net, FailoverConfig{});
+  probe.LoadTable(ex_->hosp, &hosp);
+  probe.LoadTable(ex_->ins, &ins);
+  auto probed = probe.Execute(plan.get(), ex_->U);
+  ASSERT_TRUE(probed.ok()) << probed.status().ToString();
+  int crash_step = -1;
+  SubjectId victim = kInvalidSubject;
+  for (const auto& [node_id, subject] :
+       probed->assignment.extended.assignment) {
+    if (ex_->subjects.Get(subject).kind == SubjectKind::kProvider) {
+      crash_step = node_id;
+      victim = subject;
+      break;
+    }
+  }
+  ASSERT_NE(victim, kInvalidSubject) << "optimizer used no provider";
+
+  auto store = MakeStore();
+  SimNet net(&ex_->subjects);
+  ServiceConfig config;
+  config.net = &net;
+  auto service = MakeService(store.get(), config);
+  Session h = *service->OpenSession(ex_->H);
+  Session u = *service->OpenSession(ex_->U);
+  auto cold = service->ExecuteSql(sql, u);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(CanonicalRows(cold->table), OracleRows(sql, *store->Current()));
+
+  // The write moves S = 100 out of the 'tpa' group, changing the result.
+  ASSERT_TRUE(
+      service->ExecuteWrite("update Hosp set T = 'surgery' where S = 100", h)
+          .ok());
+  std::shared_ptr<const Snapshot> written = store->Current();
+  const std::vector<std::string> want = OracleRows(sql, *written);
+  ASSERT_NE(want, CanonicalRows(cold->table));
+
+  // The cached plan's provider dies mid-run; the recovery must read the
+  // snapshot the request pinned, not the one the plan was built under.
+  FaultPlan faults;
+  faults.crash_at_step[victim] = crash_step;
+  net.SetFaultPlan(faults);
+  auto recovered = service->ExecuteSql(sql, u);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->stats.cache, CacheOutcome::kHit);
+  EXPECT_GE(recovered->stats.failovers, 1u);
+  EXPECT_EQ(recovered->stats.snapshot_id, written->id);
+  EXPECT_EQ(CanonicalRows(recovered->table), want);
 }
 
 // ---- MRV counters through the service --------------------------------------
