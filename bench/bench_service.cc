@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   // Default scale keeps the per-query working set small relative to the
   // front half (parse → authorize → optimize): the regime where a serving
   // layer's plan cache is the dominant lever. Execution-side data scaling
-  // is bench_parallel_exec's subject.
+  // is bench_engine's subject.
   double data_sf = argc > 1 ? std::atof(argv[1]) : 5e-5;
   int warm_iters = argc > 2 ? std::atoi(argv[2]) : 20;
   if (data_sf <= 0) data_sf = 5e-5;

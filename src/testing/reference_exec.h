@@ -8,8 +8,8 @@
 // distributed-encrypted pipeline (with and without injected faults) and the
 // single-site columnar engine against this oracle.
 //
-// The oracle doubles as the "pre-PR row engine" baseline `bench_columnar`
-// measures the columnar engine against.
+// The oracle doubles as the row-engine baseline `bench_engine` measures the
+// columnar engine against.
 
 #ifndef MPQ_TESTING_REFERENCE_EXEC_H_
 #define MPQ_TESTING_REFERENCE_EXEC_H_

@@ -77,6 +77,36 @@ TEST_P(TpchQueryTest, ExecutesOnTinyData) {
   ASSERT_TRUE(t.ok()) << "Q" << GetParam() << ": " << t.status().ToString();
 }
 
+// The Fig 9 shape: UAPmix ≤ UAPenc ≤ UA on every query.
+TEST_P(TpchQueryTest, ScenarioCostOrdering) {
+  TpchEnv env = MakeTpchEnv(1.0, 3);
+  auto plan = BuildTpchQuery(GetParam(), env);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE(
+      DerivePlaintextNeeds(plan->get(), env.catalog, SchemeCaps{}).ok());
+  PricingTable prices = MakeScenarioPricing(env);
+  Topology topo = MakeScenarioTopology(env);
+  SchemeMap schemes = AnalyzeSchemes(plan->get(), env.catalog, SchemeCaps{});
+  CostModel cm(&env.catalog, &prices, &topo, &schemes);
+
+  double costs[3];
+  AuthScenario scenarios[] = {AuthScenario::kUA, AuthScenario::kUAPenc,
+                              AuthScenario::kUAPmix};
+  for (int i = 0; i < 3; ++i) {
+    auto policy = MakeScenarioPolicy(env, scenarios[i]);
+    ASSERT_TRUE(policy.ok());
+    auto cp = ComputeCandidates(plan->get(), *policy);
+    ASSERT_TRUE(cp.ok()) << cp.status().ToString();
+    AssignmentOptimizer opt(&*policy, &cm);
+    auto r = opt.Optimize(plan->get(), *cp, env.user);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    costs[i] = r->exact_cost.total_usd();
+  }
+  EXPECT_LE(costs[1], costs[0]) << "Q" << GetParam();  // UAPenc ≤ UA
+  // UAPmix ≤ UAPenc (tolerance)
+  EXPECT_LE(costs[2], costs[1] * 1.001) << "Q" << GetParam();
+}
+
 INSTANTIATE_TEST_SUITE_P(AllQueries, TpchQueryTest, ::testing::Range(1, 23));
 
 TEST_F(TpchTest, InvalidQueryNumberRejected) {
@@ -129,34 +159,6 @@ TEST_F(TpchTest, ScenarioPoliciesDiffer) {
   EXPECT_GT(mix->EncView(p1).size(), 0u);
   EXPECT_EQ(mix->PlainView(p1).size() + mix->EncView(p1).size(),
             env_->catalog.attrs().size());
-}
-
-TEST_F(TpchTest, ScenarioCostOrderingOnQ6) {
-  // The headline property: UAPmix ≤ UAPenc ≤ UA on a representative query.
-  auto plan = BuildTpchQuery(6, *env_);
-  ASSERT_TRUE(plan.ok());
-  ASSERT_TRUE(
-      DerivePlaintextNeeds(plan->get(), env_->catalog, SchemeCaps{}).ok());
-  PricingTable prices = MakeScenarioPricing(*env_);
-  Topology topo = MakeScenarioTopology(*env_);
-  SchemeMap schemes = AnalyzeSchemes(plan->get(), env_->catalog, SchemeCaps{});
-  CostModel cm(&env_->catalog, &prices, &topo, &schemes);
-
-  double costs[3];
-  AuthScenario scenarios[] = {AuthScenario::kUA, AuthScenario::kUAPenc,
-                              AuthScenario::kUAPmix};
-  for (int i = 0; i < 3; ++i) {
-    auto policy = MakeScenarioPolicy(*env_, scenarios[i]);
-    ASSERT_TRUE(policy.ok());
-    auto cp = ComputeCandidates(plan->get(), *policy);
-    ASSERT_TRUE(cp.ok()) << cp.status().ToString();
-    AssignmentOptimizer opt(&*policy, &cm);
-    auto r = opt.Optimize(plan->get(), *cp, env_->user);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    costs[i] = r->exact_cost.total_usd();
-  }
-  EXPECT_LE(costs[1], costs[0]);  // UAPenc ≤ UA
-  EXPECT_LE(costs[2], costs[1] * 1.001);  // UAPmix ≤ UAPenc (tolerance)
 }
 
 TEST_F(TpchTest, UdfQueryBuildsAndExecutes) {
